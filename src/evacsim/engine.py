@@ -13,6 +13,19 @@ the room.
 Randomness discipline: the only generator method ever consumed is
 rng.random(), in a fixed order (agents ascending, then conflict cells in
 raster order), so equal seeds give bit-identical runs.
+
+step() runs as an array kernel that keeps this discipline draw for draw.
+The distributions, the free-neighbour table and the set of drawing agents
+are computed for all agents at once; a scan over plain lists then makes
+the draws in agent order.  It takes its uniforms in blocks, and
+rng.random(m) yields the same doubles as m calls of rng.random(), so a
+block is the stream itself.  A block never holds more draws than are
+certain to be made: m is the number of agents still waiting for their
+first draw (plus one when an agent needs its second), and each of them
+makes at least one.  The generator is therefore never ahead of the scan,
+needs no rewinding, and is left exactly where one call per draw leaves it,
+with its state (the buffered 32-bit half-word included) untouched
+otherwise.  Contested cells then draw one call at a time, in raster order.
 """
 
 from __future__ import annotations
@@ -23,17 +36,8 @@ import numpy as np
 
 from .floorfield import StaticField, compute_sff
 from .metrics import SimulationResult, SpreadSample, exit_axis, spread_metric
-from .scenario import DIR_OFFSETS, Cell, Grid, ModelParams, Scenario
-from .transition import TransitionDistribution, TransitionTables
-
-
-@dataclass(frozen=True)
-class Proposal:
-    """One agent's intended cell for this step; target == source means stay."""
-
-    agent: int
-    source: Cell
-    target: Cell
+from .scenario import Cell, Grid, ModelParams, Scenario
+from .transition import TransitionTables
 
 
 @dataclass
@@ -57,90 +61,9 @@ def initial_state(scenario: Scenario) -> SimulationState:
     return SimulationState(occupancy=occ, agents=agents, step=0, rng=rng)
 
 
-def _draw_direction(p: np.ndarray, u: float) -> int:
-    """Index d of the first cumulative bin containing u.
-
-    Zero-probability directions have zero-width bins and can never come
-    out.  If rounding leaves the total a hair under 1 and u lands past it,
-    the last positive direction takes the draw.
-    """
-    acc = 0.0
-    for d in range(4):
-        acc += p[d]
-        if u < acc:
-            return d
-    for d in (3, 2, 1, 0):
-        if p[d] > 0.0:
-            return d
-    raise ValueError("cannot draw from an all-zero distribution")
-
-
-def choose_target(
-    agent: int,
-    source: Cell,
-    dist: TransitionDistribution,
-    occupancy: np.ndarray,
-    rng: np.random.Generator,
-) -> Proposal:
-    """Draw this agent's proposal against the frozen occupancy snapshot.
-
-    norm_zero means motion is forbidden: stay, no randomness consumed.
-    Otherwise one draw; if it hits an occupied cell, a second draw over
-    {empty neighbors at original p, stay with the occupied mass}.
-    """
-    if dist.norm_zero:
-        return Proposal(agent, source, source)
-    p = dist.p
-    i, j = source
-    d = _draw_direction(p, rng.random())
-    di, dj = DIR_OFFSETS[d]
-    target = (i + di, j + dj)
-    if not occupancy[target]:
-        return Proposal(agent, source, target)
-
-    masses = [0.0, 0.0, 0.0, 0.0]
-    for dd in range(4):
-        pd = p[dd]
-        if pd <= 0.0:
-            continue
-        ddi, ddj = DIR_OFFSETS[dd]
-        if not occupancy[i + ddi, j + ddj]:
-            masses[dd] = pd
-    u = rng.random()
-    acc = 0.0
-    for dd in range(4):
-        acc += masses[dd]
-        if u < acc:
-            ddi, ddj = DIR_OFFSETS[dd]
-            return Proposal(agent, source, (i + ddi, j + ddj))
-    return Proposal(agent, source, source)
-
-
-def resolve_conflicts(
-    proposals: list[Proposal], mu: float, rng: np.random.Generator
-) -> list[Proposal]:
-    """Permitted moves after friction.
-
-    Stay-proposals never conflict and are not returned.  Each contested
-    target cell, visited in raster order, is dropped entirely with
-    probability mu; otherwise one contender wins uniformly.  mu uses
-    strict `u < mu`, so mu=0 always resolves and mu=1 never does.
-    """
-    by_target: dict[Cell, list[Proposal]] = {}
-    for prop in proposals:
-        if prop.target != prop.source:
-            by_target.setdefault(prop.target, []).append(prop)
-    allowed: list[Proposal] = []
-    for target in sorted(by_target):
-        group = by_target[target]
-        if len(group) == 1:
-            allowed.append(group[0])
-            continue
-        if rng.random() < mu:
-            continue
-        k = len(group)
-        allowed.append(group[min(int(rng.random() * k), k - 1)])
-    return allowed
+def _agent_cells(agents: list[tuple[int, Cell]], width: int) -> np.ndarray:
+    """Flat row-major cell index of every agent, in list order."""
+    return np.fromiter((i * width + j for _, (i, j) in agents), dtype=np.int64, count=len(agents))
 
 
 def step(
@@ -159,42 +82,98 @@ def step(
     if tables is None:
         tables = TransitionTables(field, grid, params)
     occ = state.occupancy
-    exit_mask = grid.exit_mask
+    agents = state.agents
+    rng = state.rng
     w = grid.width
-    cells_flat = np.fromiter(
-        (i * w + j for _, (i, j) in state.agents), dtype=np.int64, count=len(state.agents)
-    )
-    p_rows, norm_zero = tables.distributions(occ, cells_flat)
+    cells = _agent_cells(agents, w)
+    p, norm_zero = tables.distributions(occ, cells)
+    # per agent and direction: the neighbour cell if it is free in the
+    # snapshot, else -1.  Blocked directions hold the agent's own (occupied)
+    # cell in ray_idx and have p = 0, so they are never drawn.
+    nbr = tables.ray_idx[:, cells, 0]
+    free = np.where(occ.reshape(-1)[nbr] != 0, -1, nbr).T.ravel().tolist()
+    prob = p.ravel().tolist()
+    drawing = np.flatnonzero(~(norm_zero | grid.exit_mask.reshape(-1)[cells])).tolist()
 
-    proposals: list[Proposal] = []
-    for k, (aid, cell) in enumerate(state.agents):
-        if exit_mask[cell]:
-            proposals.append(Proposal(aid, cell, cell))
-            continue
-        dist = TransitionDistribution(p=p_rows[k], norm_zero=bool(norm_zero[k]))
-        proposals.append(choose_target(aid, cell, dist, occ, state.rng))
+    # the draw scan: agents ascending, one draw each and a second one after
+    # a hit on an occupied cell; u is refilled with as many draws as are
+    # certain to be made, so the generator never runs ahead of the scan
+    claims: dict[int, list[int]] = {}
+    u: list[float] = []
+    used = 0
+    left = len(drawing)  # agents whose first draw is still to come
+    for k in drawing:
+        if used == len(u):
+            u = rng.random(left).tolist()
+            used = 0
+        x = u[used]
+        used += 1
+        left -= 1
+        b = 4 * k
+        acc = 0.0
+        for d in range(b, b + 4):
+            acc += prob[d]
+            if x < acc:
+                break
+        else:
+            # rounding left the total a hair under 1 and x landed past it
+            d = max(dd for dd in range(b, b + 4) if prob[dd] > 0.0)
+        t = free[d]
+        if t < 0:
+            # patience: occupied directions hand their mass to staying put
+            if used == len(u):
+                u = rng.random(left + 1).tolist()
+                used = 0
+            x = u[used]
+            used += 1
+            acc = 0.0
+            for d in range(b, b + 4):
+                t = free[d]
+                if t >= 0:
+                    acc += prob[d]
+                    if x < acc:
+                        break
+            else:
+                continue
+        claims.setdefault(t, []).append(k)
 
-    moves = resolve_conflicts(proposals, params.mu, state.rng)
+    # friction: contested cells in raster order (ascending flat index)
+    dest: dict[int, int] = {}
+    mu = params.mu
+    for t in sorted(claims):
+        group = claims[t]
+        if len(group) > 1:
+            if rng.random() < mu:
+                continue
+            size = len(group)
+            dest[group[min(int(rng.random() * size), size - 1)]] = t
+        else:
+            dest[group[0]] = t
 
     new_occ = occ.copy()
-    moved: dict[int, Cell] = {}
-    for prop in moves:
-        new_occ[prop.source] = 0
-    for prop in moves:
-        new_occ[prop.target] = 1
-        moved[prop.agent] = prop.target
-
-    agents: list[tuple[int, Cell]] = []
-    for aid, cell in state.agents:
-        now = moved.get(aid, cell)
-        if exit_mask[now]:
-            new_occ[now] = 0
+    flat = new_occ.reshape(-1)
+    src = cells.tolist()
+    # a target was free in the snapshot, so it is nobody's source
+    for k, t in dest.items():
+        flat[src[k]] = 0
+        flat[t] = 1
+    exits = {i * w + j for i, j in grid.exits}
+    out: list[tuple[int, Cell]] = []
+    for k, entry in enumerate(agents):
+        t = dest.get(k, src[k])
+        if t in exits:
+            flat[t] = 0
+        elif t == src[k]:
+            out.append(entry)
         else:
-            agents.append((aid, now))
+            out.append((entry[0], divmod(t, w)))
     # two winners on one cell cannot happen; a desync here means the
     # conflict grouping or the parallel move application is broken
-    assert int(new_occ.sum()) == len(agents)
-    return SimulationState(occupancy=new_occ, agents=agents, step=state.step + 1, rng=state.rng)
+    if int(flat.sum()) != len(out):
+        raise RuntimeError(
+            f"step {state.step}: occupancy holds {int(flat.sum())} people, agent list {len(out)}"
+        )
+    return SimulationState(occupancy=new_occ, agents=out, step=state.step + 1, rng=rng)
 
 
 def run(
@@ -227,15 +206,10 @@ def run(
     if axis is not None and state.agents:
         spread.append(SpreadSample(0, spread_metric(state, axis)))
 
-    w = grid.width
     while state.agents and state.step < params.max_steps:
         if capture_step is not None and state.step == capture_step:
-            cells_flat = np.fromiter(
-                (i * w + j for _, (i, j) in state.agents),
-                dtype=np.int64,
-                count=len(state.agents),
-            )
-            p_rows, norm_zero = tables.distributions(state.occupancy, cells_flat)
+            cells = _agent_cells(state.agents, grid.width)
+            p_rows, norm_zero = tables.distributions(state.occupancy, cells)
             for k, (aid, cell) in enumerate(state.agents):
                 captured.append((aid, cell, p_rows[k].copy(), bool(norm_zero[k])))
         state = step(state, field, grid, params, tables)

@@ -116,7 +116,7 @@ class TransitionTables:
     For every cell and direction this precomputes the field drop, the sight
     line r*, the wall-term exponent and the kernel ray (cell indices plus
     weights, zero-padded to length r).  distributions() then needs one
-    occupancy gather and one exp per direction.
+    occupancy gather and one exp, shared by all four directions.
     """
 
     def __init__(self, field: StaticField, grid: Grid, params: ModelParams):
@@ -170,16 +170,21 @@ class TransitionTables:
 
         Returns (p, norm_zero): p is (n, 4) rows summing to 1 (all-zero where
         norm_zero), norm_zero is (n,) bool.
+
+        All four directions are gathered at once.  Each ray is still summed
+        over its own contiguous length-r axis, and the weights are summed per
+        row of a contiguous (n, 4) array, so every float operation matches
+        the per-direction evaluation bit for bit.
         """
-        occ_flat = occupancy.reshape(-1).astype(np.float64, copy=False)
-        k_p = self.params.k_p
-        weights = np.empty((len(cells_flat), 4), dtype=np.float64)
-        for d in range(4):
-            crowd = (occ_flat[self.ray_idx[d, cells_flat]] * self.ray_w[d, cells_flat]).sum(axis=1)
-            dens = np.clip(crowd / self.ray_div[d, cells_flat], 0.0, 1.0)
-            weights[:, d] = np.exp(self.static_expo[d, cells_flat] - k_p * dens)
+        crowd = (occupancy.reshape(-1)[self.ray_idx[:, cells_flat]]
+                 * self.ray_w[:, cells_flat]).sum(axis=2)
+        # crowd >= 0 (occupancy and kernel weights are), so of the clamp to
+        # [0, 1] only the upper bound can bind
+        dens = np.minimum(crowd / self.ray_div[:, cells_flat], 1.0)
+        weights = np.exp(self.static_expo[:, cells_flat] - self.params.k_p * dens)
+        weights = np.ascontiguousarray(weights.T)
         norm = weights.sum(axis=1)
         norm_zero = norm == 0.0
-        p = np.zeros_like(weights)
-        np.divide(weights, norm[:, None], out=p, where=~norm_zero[:, None])
+        # an all-zero row divided by 1 stays all zero
+        p = weights / np.where(norm_zero, 1.0, norm)[:, None]
         return p, norm_zero

@@ -24,12 +24,12 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario, random_grid
-from evacsim.engine import initial_state, resolve_conflicts, run, step, Proposal
+from evacsim.engine import initial_state, run, step
 from evacsim.floorfield import compute_sff, StaticField
 from evacsim.metrics import render_snapshot
 from evacsim.scenario import DIR_OFFSETS, ModelParams, Scenario, parse_scenario
 from evacsim.transition import TransitionTables, transition_distribution
-from oracles import density_oracle, sff_oracle
+from oracles import Proposal, density_oracle, resolve_conflicts, sff_oracle
 from evacsim.perception import density, kernel_phi
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -48,8 +48,8 @@ def _quiet_params(**kw) -> ModelParams:
 
 
 def _sample_counts(p: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Direction counts for the given uniforms, equivalent to the engine's
-    scalar draw (equivalence is itself unit-tested)."""
+    """Direction counts for the given uniforms, equivalent to the scalar
+    draw the engine's scan follows (equivalence is itself unit-tested)."""
     cum = np.cumsum(p)
     picks = np.searchsorted(cum, us, side="right")
     if (picks >= 4).any():

@@ -1,4 +1,7 @@
 import copy
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,25 +9,19 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario, random_grid
-from evacsim.engine import (
-    Proposal,
-    _draw_direction,
-    choose_target,
-    initial_state,
-    resolve_conflicts,
-    run,
-    step,
-)
+from evacsim.engine import initial_state, run, step
 from evacsim.floorfield import compute_sff
 from evacsim.metrics import render_snapshot
 from evacsim.scenario import DIR_OFFSETS, ModelParams, Scenario, parse_scenario
 from evacsim.transition import TransitionDistribution, TransitionTables
+from oracles import Proposal, choose_target, draw_direction, resolve_conflicts
 
 DATA = Path(__file__).parent / "data"
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def searchsorted_twin(p, us):
-    """Vectorized counterpart of the engine's scalar draw."""
+    """Vectorized counterpart of the reference scalar draw."""
     cum = np.cumsum(p)
     picks = np.searchsorted(cum, us, side="right")
     if (picks >= 4).any():
@@ -41,7 +38,7 @@ def test_draw_direction_matches_vectorized_twin():
             continue
         p = raw / raw.sum()
         us = rng.random(2000)
-        scalar = np.array([_draw_direction(p, float(u)) for u in us])
+        scalar = np.array([draw_direction(p, float(u)) for u in us])
         assert np.array_equal(scalar, searchsorted_twin(p, us))
 
 
@@ -49,8 +46,8 @@ def test_draw_direction_never_picks_zero_bin():
     p = np.array([0.5, 0.0, 0.5, 0.0])
     rng = np.random.default_rng(7)
     for u in rng.random(1000):
-        assert _draw_direction(p, float(u)) in (0, 2)
-    assert _draw_direction(p, 0.5) == 2  # boundary lands in the next bin
+        assert draw_direction(p, float(u)) in (0, 2)
+    assert draw_direction(p, 0.5) == 2  # boundary lands in the next bin
 
 
 def test_choose_target_norm_zero_stays_without_randomness():
@@ -175,6 +172,27 @@ def test_step_agent_starting_on_exit_removed():
     field = compute_sff(sc.grid)
     out = step(state, field, sc.grid, sc.params)
     assert out.agents == [] and out.step == 1
+
+
+def test_step_raises_on_occupancy_desync():
+    # a person in the occupancy who is not in the agent list must be
+    # reported, also under python -O, which strips assert statements
+    sc = make_scenario("#######\n#P...E#\n#.....#\n#######", seed=3)
+    state = initial_state(sc)
+    state.occupancy[2, 3] = 1
+    with pytest.raises(RuntimeError, match="occupancy holds 2 people, agent list 1"):
+        step(state, compute_sff(sc.grid), sc.grid, sc.params)
+    if not sys.flags.optimize:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{Path(__file__).resolve()}::test_step_raises_on_occupancy_desync"],
+            capture_output=True, text=True, cwd=REPO_ROOT, env=env,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_step_empty_room_only_increments():
