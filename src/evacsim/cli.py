@@ -19,7 +19,7 @@ from pathlib import Path
 from statistics import mean
 
 from .engine import run
-from .floorfield import compute_sff
+from .floorfield import StaticField, compute_sff
 from .metrics import export_csv, export_field_csv, render_snapshot
 from .scenario import (
     PARAM_KEYS,
@@ -156,15 +156,13 @@ def _aggregate_row(label_cells: list, rows: list[tuple], snapshot_steps: tuple[i
     return cells
 
 
-def _write_sff(scenario_text: str, out: Path) -> None:
-    scenario = parse_scenario(scenario_text)
-    field = compute_sff(scenario.grid)
+def _write_sff(field: StaticField, out: Path) -> None:
     with open(out / "sff.csv", "w", newline="") as f:
         export_field_csv(field.values, f)
 
 
 def _prepare(config: RunConfig):
-    """Parse, override, and validate; returns (text, seeds) or (None, None)."""
+    """Parse, override, validate; returns (text, seeds, field) or all None."""
     text = Path(config.scenario_path).read_text(encoding="ascii")
     scenario = parse_scenario(text)
     try:
@@ -176,16 +174,16 @@ def _prepare(config: RunConfig):
     if problems:
         for p in problems:
             print(f"invalid scenario: {p}", file=sys.stderr)
-        return None, None
+        return None, None, None
     seeds = config.seeds if config.seeds is not None else [params.seed]
     for s in seeds:
         if not (0 <= s < 2**64):
             raise ScenarioError(f"seed must fit in 64 bits, got {s}")
-    return text, seeds
+    return text, seeds, field
 
 
 def cmd_run(config: RunConfig) -> int:
-    text, seeds = _prepare(config)
+    text, seeds, field = _prepare(config)
     if text is None:
         return 3
     out = Path(config.out_dir)
@@ -205,7 +203,7 @@ def cmd_run(config: RunConfig) -> int:
     ]
     rows = _execute(tasks, config.workers)
     if config.dump_sff:
-        _write_sff(text, out)
+        _write_sff(field, out)
     if len(seeds) > 1:
         with open(out / "batch.csv", "w", newline="") as f:
             w = csv.writer(f, lineterminator="\n")
@@ -230,7 +228,7 @@ def cmd_sweep(config: RunConfig, param: str, values: list[str]) -> int:
     for v in values:
         _parse_param_value(param, v, 0)
 
-    text, seeds = _prepare(config)
+    text, seeds, field = _prepare(config)
     if text is None:
         return 3
     out = Path(config.out_dir)
@@ -251,7 +249,7 @@ def cmd_sweep(config: RunConfig, param: str, values: list[str]) -> int:
     ]
     rows = _execute(tasks, config.workers)
     if config.dump_sff:
-        _write_sff(text, out)
+        _write_sff(field, out)
     with open(out / "aggregate.csv", "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["param", "value", "seed", "evac_time", "complete",

@@ -5,13 +5,18 @@ steps cost 1, diagonal steps cost sqrt(2), and a diagonal step is allowed
 only when both orthogonal cells it cuts between are free (no squeezing
 through wall corners).  Movement during the simulation itself is purely
 orthogonal; the diagonal metric only makes the distance field smoother.
+
+The search runs in plain lists over the grid padded with a one-cell wall
+ring and flattened row-major: a neighbour is a fixed index offset, the ring
+replaces bounds checks, and heap entries (distance, flat index) sort
+exactly like (distance, row, column).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -19,8 +24,6 @@ from .scenario import DIR_OFFSETS, Cell, Grid
 
 NEG_INF = float("-inf")
 SQRT2 = math.sqrt(2.0)
-
-_DIAG_OFFSETS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,38 +39,38 @@ class StaticField:
 
 def compute_sff(grid: Grid) -> StaticField:
     """Multi-source Dijkstra from all exit cells at once."""
-    h, w = grid.height, grid.width
-    walls = grid.walls
-    dist = np.full((h, w), np.inf, dtype=np.float64)
-    heap: list[tuple[float, int, int]] = []
+    pw = grid.width + 2
+    padded = np.ones((grid.height + 2, pw), dtype=bool)
+    padded[1:-1, 1:-1] = grid.walls != 0
+    blocked = padded.reshape(-1).tolist()
+    dist = [math.inf] * len(blocked)
+    heap: list[tuple[float, int]] = []
     for i, j in sorted(grid.exits):
-        dist[i, j] = 0.0
-        heap.append((0.0, i, j))
-    heapq.heapify(heap)
+        k = (i + 1) * pw + j + 1
+        dist[k] = 0.0
+        heap.append((0.0, k))
+    heapify(heap)
+    # DIR_OFFSETS order; each diagonal with the two cells it cuts between
+    ortho = (-pw, 1, pw, -1)
+    diag = ((-pw - 1, -pw, -1), (-pw + 1, -pw, 1), (pw - 1, pw, -1), (pw + 1, pw, 1))
 
     while heap:
-        d, i, j = heapq.heappop(heap)
-        if d > dist[i, j]:
+        d, k = heappop(heap)
+        if d > dist[k]:
             continue
-        for di, dj in DIR_OFFSETS:
-            ni, nj = i + di, j + dj
-            if 0 <= ni < h and 0 <= nj < w and not walls[ni, nj]:
-                nd = d + 1.0
-                if nd < dist[ni, nj]:
-                    dist[ni, nj] = nd
-                    heapq.heappush(heap, (nd, ni, nj))
-        for di, dj in _DIAG_OFFSETS:
-            ni, nj = i + di, j + dj
-            if not (0 <= ni < h and 0 <= nj < w) or walls[ni, nj]:
-                continue
-            # corner rule: both cells the diagonal cuts between must be free
-            if walls[i + di, j] or walls[i, j + dj]:
-                continue
-            nd = d + SQRT2
-            if nd < dist[ni, nj]:
-                dist[ni, nj] = nd
-                heapq.heappush(heap, (nd, ni, nj))
-    return StaticField(values=dist)
+        nd = d + 1.0
+        for o in ortho:
+            n = k + o
+            if nd < dist[n] and not blocked[n]:
+                dist[n] = nd
+                heappush(heap, (nd, n))
+        nd = d + SQRT2
+        for o, a, b in diag:
+            n = k + o
+            if nd < dist[n] and not (blocked[n] or blocked[k + a] or blocked[k + b]):
+                dist[n] = nd
+                heappush(heap, (nd, n))
+    return StaticField(values=np.array(dist).reshape(-1, pw)[1:-1, 1:-1].copy())
 
 
 def delta_s(field: StaticField, cell: Cell, direction: int) -> float:

@@ -46,7 +46,6 @@ _GLYPHS = frozenset((WALL_GLYPH, FLOOR_GLYPH, EXIT_GLYPH, AGENT_GLYPH))
 UP, RIGHT, DOWN, LEFT = 0, 1, 2, 3
 DIRECTIONS = (UP, RIGHT, DOWN, LEFT)
 DIR_OFFSETS = ((-1, 0), (0, 1), (1, 0), (0, -1))
-DIR_NAMES = ("up", "right", "down", "left")
 
 PARAM_KEYS = ("k_S", "k_P", "k_W", "r", "mu", "seed", "max_steps")
 
@@ -330,11 +329,9 @@ def validate(scenario: Scenario, field: "np.ndarray | object") -> list[str]:
     if not grid.exits:
         problems.append("no exit cells")
 
-    for i in range(grid.height):
-        for j in range(grid.width):
-            if i in (0, grid.height - 1) or j in (0, grid.width - 1):
-                if not grid.walls[i, j] and (i, j) not in grid.exits:
-                    problems.append(f"open border at ({i}, {j})")
+    open_border = (grid.walls == 0) & ~grid.exit_mask
+    open_border[1:-1, 1:-1] = False
+    problems += [f"open border at ({i}, {j})" for i, j in np.argwhere(open_border).tolist()]
 
     seen: set[Cell] = set()
     for cell in scenario.initial_agents:

@@ -105,11 +105,6 @@ def transition_distribution(
     return TransitionDistribution(p=w.p_tilde / w.norm, norm_zero=False)
 
 
-def _phi_vec(z: np.ndarray) -> np.ndarray:
-    zz = z * z
-    return np.where(zz >= 5.0, 0.0, (_KERNEL_A - _KERNEL_B * zz) * _KERNEL_SCALE)
-
-
 class TransitionTables:
     """Static per-scenario factors, flattened row-major over the grid.
 
@@ -117,53 +112,59 @@ class TransitionTables:
     line r*, the wall-term exponent and the kernel ray (cell indices plus
     weights, zero-padded to length r).  distributions() then needs one
     occupancy gather and one exp, shared by all four directions.
+
+    The m-th ray cell of every cell is one shifted slice of a free mask
+    padded with r walls; ray_idx and ray_w are filled in place, without
+    (size, r) float or int temporaries.
     """
 
     def __init__(self, field: StaticField, grid: Grid, params: ModelParams):
         self.params = params
         h, w = grid.height, grid.width
+        r = params.r
         size = h * w
         s_flat = field.values.reshape(-1)
-        free = (grid.walls == 0)
-        free_flat = free.reshape(-1)
+        free_pad = np.zeros((h + 2 * r, w + 2 * r), dtype=bool)
+        free_pad[r:r + h, r:r + w] = grid.walls == 0
 
-        ii, jj = np.divmod(np.arange(size), w)
+        steps = np.arange(1, r + 1)
         ds = np.full((4, size), -np.inf)
-        valid = np.zeros((4, size), dtype=bool)
         r_star = np.zeros((4, size), dtype=np.int64)
-        ray_idx = np.zeros((4, size, params.r), dtype=np.int64)
-        ray_w = np.zeros((4, size, params.r), dtype=np.float64)
+        ray_idx = np.empty((4, size, r), dtype=np.int64)
+        ray_w = np.empty((4, size, r), dtype=np.float64)
+        look = np.empty((r, h, w), dtype=bool)
 
         for d, (di, dj) in enumerate(DIR_OFFSETS):
-            ni, nj = ii + di, jj + dj
-            inb = (ni >= 0) & (ni < h) & (nj >= 0) & (nj < w)
-            nidx = np.where(inb, ni * w + nj, np.arange(size))
-            ok = inb & free_flat[nidx] & np.isfinite(s_flat[nidx]) & np.isfinite(s_flat)
-            with np.errstate(invalid="ignore"):
-                diff = s_flat - s_flat[nidx]
-            ds[d] = np.where(ok, diff, -np.inf)
-            valid[d] = ok
+            for m in range(1, r + 1):
+                look[m - 1] = free_pad[r + m * di:r + m * di + h, r + m * dj:r + m * dj + w]
+            # the run of free cells ahead, as (size, r): ray cells or the cell itself
+            np.logical_and.accumulate(look, axis=0, out=look)
+            run = look.reshape(r, size).T
+            r_star[d] = look.sum(axis=0).reshape(-1)
+            ray_idx[d] = np.arange(size)[:, None]
+            np.add(ray_idx[d], steps * (di * w + dj), out=ray_idx[d], where=run)
+            # field drop towards a free neighbour, where both ends reach an exit
+            s_next = s_flat[ray_idx[d, :, 0]]
+            ok = run[:, 0] & np.isfinite(s_next) & np.isfinite(s_flat)
+            np.subtract(s_flat, s_next, out=ds[d], where=ok)
 
-            run = np.ones(size, dtype=bool)
-            for m in range(1, params.r + 1):
-                mi, mj = ii + m * di, jj + m * dj
-                minb = (mi >= 0) & (mi < h) & (mj >= 0) & (mj < w)
-                midx = np.where(minb, mi * w + mj, np.arange(size))
-                run = run & minb & free_flat[midx]
-                r_star[d] += run
-                ray_idx[d, :, m - 1] = np.where(run, midx, np.arange(size))
-            c = (r_star[d] + 1) / SQRT5
-            for m in range(1, params.r + 1):
-                ray_w[d, :, m - 1] = np.where(m <= r_star[d], _phi_vec(m / c), 0.0)
+            # kernel weights phi(m / C) with C = (r* + 1) / sqrt(5), 0 past r*;
+            # m <= r* keeps z below sqrt(5), inside the kernel's support
+            zz = ray_w[d]
+            np.divide(steps.astype(np.float64), ((r_star[d] + 1) / SQRT5)[:, None], out=zz)
+            np.multiply(zz, zz, out=zz)
+            np.multiply(_KERNEL_B, zz, out=zz)
+            np.subtract(_KERNEL_A, zz, out=zz)
+            np.multiply(zz, _KERNEL_SCALE, out=zz)
+            np.copyto(zz, 0.0, where=~run)
 
         max_ds = ds.max(axis=0)
         wall_term = params.k_w * (1.0 - r_star / params.r) * (ds >= max_ds)
         with np.errstate(invalid="ignore"):  # k_s = 0 makes 0 * -inf in the dead branch
-            self.static_expo = np.where(valid, params.k_s * ds - wall_term, -np.inf)
+            self.static_expo = np.where(ds > -np.inf, params.k_s * ds - wall_term, -np.inf)
         self.ray_idx = ray_idx
         self.ray_w = ray_w
         self.ray_div = np.maximum(r_star, 1).astype(np.float64)
-        self.r_star = r_star
 
     def distributions(self, occupancy: np.ndarray, cells_flat: np.ndarray):
         """Distributions for the given flat cell indices against occupancy.

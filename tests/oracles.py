@@ -6,6 +6,12 @@ package (plain lists and Gauss-Seidel relaxation instead of numpy and a
 heap), so agreement between the two is meaningful evidence rather than a
 tautology.
 
+sff_heapq_oracle and tables_oracle are the package's earlier set-up code,
+kept verbatim: a heap Dijkstra indexing the 2-D arrays cell by cell, and a
+TransitionTables build that walks every ray one offset at a time.  The
+package's flat-index Dijkstra and in-place tables build must reproduce
+them byte for byte.
+
 The scalar step (distributions_oracle, Proposal, draw_direction,
 choose_target, resolve_conflicts, oracle_step) is the per-agent reference
 for the package's array kernel in engine.step: one table gather per
@@ -14,12 +20,15 @@ grouped in a dict.  It consumes the generator in the documented order, so
 engine.step must match it exactly, generator state included.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from evacsim.engine import SimulationState
+from evacsim.floorfield import StaticField
+from evacsim.perception import _KERNEL_A, _KERNEL_B, _KERNEL_SCALE
 from evacsim.scenario import DIR_OFFSETS
 from evacsim.transition import TransitionDistribution, TransitionTables
 
@@ -71,6 +80,45 @@ def sff_oracle(walls, exits):
     return dist
 
 
+_DIAG_OFFSETS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
+
+
+def sff_heapq_oracle(grid):
+    """Multi-source Dijkstra from all exit cells at once."""
+    h, w = grid.height, grid.width
+    walls = grid.walls
+    dist = np.full((h, w), np.inf, dtype=np.float64)
+    heap: list[tuple[float, int, int]] = []
+    for i, j in sorted(grid.exits):
+        dist[i, j] = 0.0
+        heap.append((0.0, i, j))
+    heapq.heapify(heap)
+
+    while heap:
+        d, i, j = heapq.heappop(heap)
+        if d > dist[i, j]:
+            continue
+        for di, dj in DIR_OFFSETS:
+            ni, nj = i + di, j + dj
+            if 0 <= ni < h and 0 <= nj < w and not walls[ni, nj]:
+                nd = d + 1.0
+                if nd < dist[ni, nj]:
+                    dist[ni, nj] = nd
+                    heapq.heappush(heap, (nd, ni, nj))
+        for di, dj in _DIAG_OFFSETS:
+            ni, nj = i + di, j + dj
+            if not (0 <= ni < h and 0 <= nj < w) or walls[ni, nj]:
+                continue
+            # corner rule: both cells the diagonal cuts between must be free
+            if walls[i + di, j] or walls[i, j + dj]:
+                continue
+            nd = d + SQRT2
+            if nd < dist[ni, nj]:
+                dist[ni, nj] = nd
+                heapq.heappush(heap, (nd, ni, nj))
+    return StaticField(values=dist)
+
+
 def density_oracle(ray_occupancy, r_star):
     """Raw (unclamped) kernel density over one ray.
 
@@ -100,6 +148,64 @@ def distributions_oracle(tables, occupancy, cells_flat):
     p = np.zeros_like(weights)
     np.divide(weights, norm[:, None], out=p, where=~norm_zero[:, None])
     return p, norm_zero
+
+
+def _phi_vec(z: np.ndarray) -> np.ndarray:
+    zz = z * z
+    return np.where(zz >= 5.0, 0.0, (_KERNEL_A - _KERNEL_B * zz) * _KERNEL_SCALE)
+
+
+def tables_oracle(field, grid, params):
+    """TransitionTables' arrays built one ray offset at a time.
+
+    Returns {attribute name: array} for static_expo, ray_idx, ray_w and
+    ray_div.
+    """
+    h, w = grid.height, grid.width
+    size = h * w
+    s_flat = field.values.reshape(-1)
+    free = (grid.walls == 0)
+    free_flat = free.reshape(-1)
+
+    ii, jj = np.divmod(np.arange(size), w)
+    ds = np.full((4, size), -np.inf)
+    valid = np.zeros((4, size), dtype=bool)
+    r_star = np.zeros((4, size), dtype=np.int64)
+    ray_idx = np.zeros((4, size, params.r), dtype=np.int64)
+    ray_w = np.zeros((4, size, params.r), dtype=np.float64)
+
+    for d, (di, dj) in enumerate(DIR_OFFSETS):
+        ni, nj = ii + di, jj + dj
+        inb = (ni >= 0) & (ni < h) & (nj >= 0) & (nj < w)
+        nidx = np.where(inb, ni * w + nj, np.arange(size))
+        ok = inb & free_flat[nidx] & np.isfinite(s_flat[nidx]) & np.isfinite(s_flat)
+        with np.errstate(invalid="ignore"):
+            diff = s_flat - s_flat[nidx]
+        ds[d] = np.where(ok, diff, -np.inf)
+        valid[d] = ok
+
+        run = np.ones(size, dtype=bool)
+        for m in range(1, params.r + 1):
+            mi, mj = ii + m * di, jj + m * dj
+            minb = (mi >= 0) & (mi < h) & (mj >= 0) & (mj < w)
+            midx = np.where(minb, mi * w + mj, np.arange(size))
+            run = run & minb & free_flat[midx]
+            r_star[d] += run
+            ray_idx[d, :, m - 1] = np.where(run, midx, np.arange(size))
+        c = (r_star[d] + 1) / SQRT5
+        for m in range(1, params.r + 1):
+            ray_w[d, :, m - 1] = np.where(m <= r_star[d], _phi_vec(m / c), 0.0)
+
+    max_ds = ds.max(axis=0)
+    wall_term = params.k_w * (1.0 - r_star / params.r) * (ds >= max_ds)
+    with np.errstate(invalid="ignore"):  # k_s = 0 makes 0 * -inf in the dead branch
+        static_expo = np.where(valid, params.k_s * ds - wall_term, -np.inf)
+    return {
+        "static_expo": static_expo,
+        "ray_idx": ray_idx,
+        "ray_w": ray_w,
+        "ray_div": np.maximum(r_star, 1).astype(np.float64),
+    }
 
 
 @dataclass(frozen=True)

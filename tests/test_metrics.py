@@ -10,6 +10,7 @@ from evacsim.metrics import (
     PGM_EXIT,
     PGM_FLOOR,
     PGM_WALL,
+    ExitAxis,
     SimulationResult,
     SpreadSample,
     exit_axis,
@@ -78,6 +79,21 @@ def test_spread_metric_col_axis_uses_columns():
     sc = make_scenario("#####\n#EE.#\n#...#\n#####")
     ax = exit_axis(sc.grid)
     assert spread_metric(FakeState([(2, 1), (2, 3)]), ax) == pytest.approx(1.0)
+
+
+def test_spread_metric_equals_ndarray_mean():
+    # same reduction and divide as ndarray.mean, compared with ==; the
+    # coordinates are not multiples of a power of two, so the offsets'
+    # sum rounds and a different summation order would show
+    rng = np.random.default_rng(3)
+    for axis, coordinate in (("row", 17.3), ("col", 52 / 3)):
+        ax = ExitAxis(axis=axis, coordinate=coordinate)
+        pick = 0 if axis == "row" else 1
+        for n in range(1, 1001):
+            cells = [tuple(int(x) for x in c) for c in rng.integers(0, 300, size=(n, 2))]
+            coords = np.array([c[pick] for c in cells], dtype=np.float64)
+            want = float(np.abs(coords - coordinate).mean())
+            assert spread_metric(FakeState(cells), ax) == want
 
 
 def test_render_snapshot_glyphs_and_roundtrip():

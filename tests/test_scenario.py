@@ -138,6 +138,29 @@ def test_validate_open_border():
     assert any("open border at (2, 2)" in p for p in problems)
 
 
+def test_validate_open_border_exact_list_in_raster_order():
+    # open cells on all four sides and two corners; the exit at (1, 5) is
+    # not reported, interior floor never is
+    sc = make_scenario(
+        """
+        .#..##
+        .....E
+        #....#
+        ##.#..
+        """
+    )
+    problems = validate(sc, compute_sff(sc.grid))
+    assert problems == [
+        "open border at (0, 0)",
+        "open border at (0, 2)",
+        "open border at (0, 3)",
+        "open border at (1, 0)",
+        "open border at (3, 2)",
+        "open border at (3, 4)",
+        "open border at (3, 5)",
+    ]
+
+
 def test_validate_no_exits():
     sc = make_scenario("####\n#..#\n####")
     problems = validate(sc, compute_sff(sc.grid))
