@@ -4,8 +4,8 @@ The package is organised bottom-up:
 
     scenario    room geometry, agents, model parameters, file format
     floorfield  static distance field to the nearest exit
-    perception  sight rays and kernel density of people ahead
-    transition  per-direction movement probabilities
+    transition  per-direction movement probabilities: field drop, sight
+                lines, kernel density of people ahead, wall term
     engine      decision rules, conflict resolution, simulation loop
     metrics     evacuation curves, snapshots, spread, CSV export
     cli         scenario runner and parameter sweeps

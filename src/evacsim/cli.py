@@ -19,9 +19,10 @@ from pathlib import Path
 from statistics import mean
 
 from .engine import run
-from .floorfield import StaticField, compute_sff
+from .floorfield import compute_sff
 from .metrics import export_csv, export_field_csv, render_snapshot
 from .scenario import (
+    PARAM_ATTRS,
     PARAM_KEYS,
     ModelParams,
     ScenarioError,
@@ -33,16 +34,6 @@ from .scenario import (
 # default snapshot set; matches the standard six panels used for the big
 # 300-person room so figures line up without extra flags
 DEFAULT_SNAPSHOT_STEPS = (25, 65, 135, 165, 180, 225)
-
-_KEY_TO_ATTR = {
-    "k_S": "k_s",
-    "k_P": "k_p",
-    "k_W": "k_w",
-    "r": "r",
-    "mu": "mu",
-    "seed": "seed",
-    "max_steps": "max_steps",
-}
 
 
 @dataclass(frozen=True)
@@ -61,12 +52,13 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunTask:
-    """One (parameter value, seed) simulation, picklable for worker pools."""
+    """One (parameter value, seed) simulation, picklable for worker pools.
+
+    overrides are applied in order, so a swept pair last wins over --set.
+    """
 
     scenario_text: str
     overrides: tuple[tuple[str, str], ...]
-    sweep_key: str | None
-    sweep_value: str | None
     seed: int
     out_dir: str
     snapshot_steps: tuple[int, ...]
@@ -75,16 +67,13 @@ class RunTask:
 
 def _apply_overrides(params: ModelParams, pairs: tuple[tuple[str, str], ...]) -> ModelParams:
     for key, raw in pairs:
-        params = replace(params, **{_KEY_TO_ATTR[key]: _parse_param_value(key, raw, 0)})
+        params = replace(params, **{PARAM_ATTRS[key]: _parse_param_value(key, raw, 0)})
     return params
 
 
 def _run_entry(task: RunTask):
     scenario = parse_scenario(task.scenario_text)
-    params = _apply_overrides(scenario.params, task.overrides)
-    if task.sweep_key is not None:
-        params = _apply_overrides(params, ((task.sweep_key, task.sweep_value),))
-    params = replace(params, seed=task.seed)
+    params = replace(_apply_overrides(scenario.params, task.overrides), seed=task.seed)
     scenario = replace(scenario, params=params)
 
     result = run(scenario, snapshot_steps=task.snapshot_steps, capture_step=task.capture_step)
@@ -105,7 +94,7 @@ def _run_entry(task: RunTask):
                 w.writerow([aid, i, j, *(repr(float(v)) for v in p), int(norm_zero)])
 
     spread_at = {s.step: s.value for s in result.spread if s.step in task.snapshot_steps}
-    return task.sweep_value, task.seed, result.evac_time, spread_at
+    return task.seed, result.evac_time, spread_at
 
 
 def _parse_int_list(raw: str, flag: str) -> list[int]:
@@ -116,6 +105,15 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
     if not items:
         raise ScenarioError(f"{flag} list is empty")
     return items
+
+
+def _check_unique(items: list, flag: str) -> None:
+    """Two equal entries would run twice into one output directory."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise ScenarioError(f"{flag} lists {item!r} more than once")
+        seen.add(item)
 
 
 def _parse_set_flags(pairs: list[str]) -> tuple[tuple[str, str], ...]:
@@ -137,28 +135,19 @@ def _execute(tasks: list[RunTask], workers: int):
     return [_run_entry(t) for t in tasks]
 
 
-def _spread_columns(snapshot_steps: tuple[int, ...]) -> list[str]:
-    return [f"spread_t{t}" for t in snapshot_steps]
-
-
 def _aggregate_row(label_cells: list, rows: list[tuple], snapshot_steps: tuple[int, ...]):
     """Mean row over per-seed results: evac_time over completed runs only,
     complete as a fraction, spread per recorded step."""
-    evac = [r[2] for r in rows if r[2] is not None]
+    evac = [r[1] for r in rows if r[1] is not None]
     cells = label_cells + [
         "mean",
         repr(mean(evac)) if evac else "",
-        repr(sum(r[2] is not None for r in rows) / len(rows)),
+        repr(sum(r[1] is not None for r in rows) / len(rows)),
     ]
     for t in snapshot_steps:
-        vals = [r[3][t] for r in rows if t in r[3]]
+        vals = [r[2][t] for r in rows if t in r[2]]
         cells.append(repr(mean(vals)) if vals else "")
     return cells
-
-
-def _write_sff(field: StaticField, out: Path) -> None:
-    with open(out / "sff.csv", "w", newline="") as f:
-        export_field_csv(field.values, f)
 
 
 def _prepare(config: RunConfig):
@@ -182,51 +171,29 @@ def _prepare(config: RunConfig):
     return text, seeds, field
 
 
-def cmd_run(config: RunConfig) -> int:
-    text, seeds, field = _prepare(config)
-    if text is None:
-        return 3
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tasks = [
-        RunTask(
-            scenario_text=text,
-            overrides=config.overrides,
-            sweep_key=None,
-            sweep_value=None,
-            seed=seed,
-            out_dir=str(out / f"s{seed}"),
-            snapshot_steps=config.snapshot_steps,
-            capture_step=config.dump_distributions,
-        )
-        for seed in seeds
-    ]
-    rows = _execute(tasks, config.workers)
-    if config.dump_sff:
-        _write_sff(field, out)
-    if len(seeds) > 1:
-        with open(out / "batch.csv", "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["seed", "evac_time", "complete", *_spread_columns(config.snapshot_steps)])
-            for _, seed, evac_time, spread_at in rows:
-                cells = [seed, evac_time if evac_time is not None else "",
-                         int(evac_time is not None)]
-                cells += [repr(spread_at[t]) if t in spread_at else ""
-                          for t in config.snapshot_steps]
-                w.writerow(cells)
-            w.writerow(_aggregate_row([], rows, config.snapshot_steps))
-    return 0
+def _command(config: RunConfig, sweep: str | None) -> int:
+    """Run every (sweep value, seed) task, then write the per-seed table.
 
-
-def cmd_sweep(config: RunConfig, param: str, values: list[str]) -> int:
-    if param not in PARAM_KEYS:
-        raise ScenarioError(f"--sweep key must be one of {', '.join(PARAM_KEYS)}, got {param!r}")
-    if param == "seed":
-        raise ScenarioError("cannot sweep seed; use --seeds")
-    if not values:
-        raise ScenarioError("--sweep value list is empty")
-    for v in values:
-        _parse_param_value(param, v, 0)
+    Without a sweep (`run`) there is one group of tasks and the table is
+    batch.csv, written only for more than one seed; with `--sweep KEY=V1,...`
+    each value is a group, its pair the last override, and the table is
+    aggregate.csv.  Each group's rows end with its _aggregate_row.
+    """
+    groups = [([], (), "")]  # (table label cells, extra overrides, directory prefix)
+    if sweep is not None:
+        param, _, raw_values = sweep.partition("=")
+        param = param.strip()
+        values = [v.strip() for v in raw_values.split(",") if v.strip() != ""]
+        if param not in PARAM_KEYS:
+            raise ScenarioError(f"--sweep key must be one of {', '.join(PARAM_KEYS)}, got {param!r}")
+        if param == "seed":
+            raise ScenarioError("cannot sweep seed; use --seeds")
+        if not values:
+            raise ScenarioError("--sweep value list is empty")
+        _check_unique(values, "--sweep")
+        for v in values:
+            _parse_param_value(param, v, 0)
+        groups = [([param, v], ((param, v),), f"p{v}_") for v in values]
 
     text, seeds, field = _prepare(config)
     if text is None:
@@ -236,33 +203,37 @@ def cmd_sweep(config: RunConfig, param: str, values: list[str]) -> int:
     tasks = [
         RunTask(
             scenario_text=text,
-            overrides=config.overrides,
-            sweep_key=param,
-            sweep_value=value,
+            overrides=config.overrides + swept,
             seed=seed,
-            out_dir=str(out / f"p{value}_s{seed}"),
+            out_dir=str(out / f"{prefix}s{seed}"),
             snapshot_steps=config.snapshot_steps,
             capture_step=config.dump_distributions,
         )
-        for value in values
+        for _, swept, prefix in groups
         for seed in seeds
     ]
     rows = _execute(tasks, config.workers)
     if config.dump_sff:
-        _write_sff(field, out)
-    with open(out / "aggregate.csv", "w", newline="") as f:
+        with open(out / "sff.csv", "w", newline="") as f:
+            export_field_csv(field.values, f)
+    if sweep is None and len(seeds) == 1:
+        return 0
+    with open(out / ("batch.csv" if sweep is None else "aggregate.csv"), "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(["param", "value", "seed", "evac_time", "complete",
-                    *_spread_columns(config.snapshot_steps)])
-        for value in values:
-            value_rows = [r for r in rows if r[0] == value]
-            for _, seed, evac_time, spread_at in value_rows:
-                cells = [param, value, seed, evac_time if evac_time is not None else "",
+        w.writerow([*(["param", "value"] if sweep is not None else []), "seed", "evac_time",
+                    "complete", *(f"spread_t{t}" for t in config.snapshot_steps)])
+        # tasks run group by group, and --seeds has no duplicates, so each
+        # group's rows are the next n results
+        n = len(seeds)
+        for g, (label, _, _) in enumerate(groups):
+            group_rows = rows[g * n:(g + 1) * n]
+            for seed, evac_time, spread_at in group_rows:
+                cells = [*label, seed, evac_time if evac_time is not None else "",
                          int(evac_time is not None)]
                 cells += [repr(spread_at[t]) if t in spread_at else ""
                           for t in config.snapshot_steps]
                 w.writerow(cells)
-            w.writerow(_aggregate_row([param, value], value_rows, config.snapshot_steps))
+            w.writerow(_aggregate_row(label, group_rows, config.snapshot_steps))
     return 0
 
 
@@ -304,10 +275,13 @@ def _config_from_args(args) -> RunConfig:
         snaps = ()
     else:
         snaps = tuple(_parse_int_list(args.snapshot_steps, "--snapshot-steps"))
+    seeds = _parse_int_list(args.seeds, "--seeds") if args.seeds else None
+    if seeds is not None:
+        _check_unique(seeds, "--seeds")
     return RunConfig(
         scenario_path=args.scenario,
         out_dir=args.out,
-        seeds=_parse_int_list(args.seeds, "--seeds") if args.seeds else None,
+        seeds=seeds,
         snapshot_steps=snaps,
         overrides=_parse_set_flags(args.set or []),
         workers=args.workers,
@@ -323,11 +297,7 @@ def main(argv=None) -> int:
         return 2
     try:
         config = _config_from_args(args)
-        if args.command == "run":
-            return cmd_run(config)
-        key, _, raw_values = args.sweep.partition("=")
-        values = [v.strip() for v in raw_values.split(",") if v.strip() != ""]
-        return cmd_sweep(config, key.strip(), values)
+        return _command(config, args.sweep if args.command == "sweep" else None)
     except ScenarioError as e:
         print(f"scenario error: {e}", file=sys.stderr)
         return 2

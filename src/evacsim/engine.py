@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floorfield import StaticField, compute_sff
+from .floorfield import compute_sff
 from .metrics import SimulationResult, SpreadSample, exit_axis, spread_metric
 from .scenario import Cell, Grid, ModelParams, Scenario
 from .transition import TransitionTables
@@ -68,19 +68,17 @@ def _agent_cells(agents: list[tuple[int, Cell]], width: int) -> np.ndarray:
 
 def step(
     state: SimulationState,
-    field: StaticField,
     grid: Grid,
     params: ModelParams,
-    tables: TransitionTables | None = None,
+    tables: TransitionTables,
 ) -> SimulationState:
     """Advance one step; returns the new state (occupancy copied, rng shared).
 
-    Agents already standing on an exit (possible only by initial placement)
+    tables are the scenario's TransitionTables for these params.  Agents
+    already standing on an exit (possible only by initial placement)
     propose to stay and are removed at the end of the step like everyone
     else who reaches a door.
     """
-    if tables is None:
-        tables = TransitionTables(field, grid, params)
     occ = state.occupancy
     agents = state.agents
     rng = state.rng
@@ -212,7 +210,7 @@ def run(
             p_rows, norm_zero = tables.distributions(state.occupancy, cells)
             for k, (aid, cell) in enumerate(state.agents):
                 captured.append((aid, cell, p_rows[k].copy(), bool(norm_zero[k])))
-        state = step(state, field, grid, params, tables)
+        state = step(state, grid, params, tables)
         curve.append((state.step, len(state.agents)))
         if state.step in wanted:
             snapshots.append((state.step, state.occupancy.copy()))

@@ -20,9 +20,8 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .scenario import DIR_OFFSETS, Cell, Grid
+from .scenario import Grid
 
-NEG_INF = float("-inf")
 SQRT2 = math.sqrt(2.0)
 
 
@@ -71,28 +70,3 @@ def compute_sff(grid: Grid) -> StaticField:
                 dist[n] = nd
                 heappush(heap, (nd, n))
     return StaticField(values=np.array(dist).reshape(-1, pw)[1:-1, 1:-1].copy())
-
-
-def delta_s(field: StaticField, cell: Cell, direction: int) -> float:
-    """Distance gained by stepping from cell in direction: S[cell] - S[next].
-
-    Positive toward the exit, in [-1, 1] for walkable neighbors.  Returns
-    NEG_INF when the neighbor is out of bounds, a wall, or unreachable
-    (infinite S), so callers can drop the direction outright.  The cell
-    itself must be walkable with finite S.
-    """
-    i, j = cell
-    di, dj = DIR_OFFSETS[direction]
-    ni, nj = i + di, j + dj
-    values = field.values
-    if not (0 <= ni < values.shape[0] and 0 <= nj < values.shape[1]):
-        return NEG_INF
-    s_next = values[ni, nj]
-    if not math.isfinite(s_next):
-        return NEG_INF
-    return float(values[i, j] - s_next)
-
-
-def max_delta_s(field: StaticField, cell: Cell) -> float:
-    """Best delta_s over the four directions; NEG_INF if every one is blocked."""
-    return max(delta_s(field, cell, d) for d in range(4))

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from statistics import mean, median
-from typing import IO, Iterable
+from statistics import mean
+from typing import IO
 
 import numpy as np
 
@@ -124,21 +124,6 @@ def render_snapshot(occupancy: np.ndarray, grid: Grid) -> tuple[str, bytes]:
     return text, header + gray.tobytes()
 
 
-def parse_snapshot(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of the ASCII half of render_snapshot: (occupancy, walls)."""
-    rows = [line for line in text.split("\n") if line != ""]
-    h, w = len(rows), len(rows[0])
-    occupancy = np.zeros((h, w), dtype=np.uint8)
-    walls = np.zeros((h, w), dtype=np.uint8)
-    for i, row in enumerate(rows):
-        for j, ch in enumerate(row):
-            if ch == AGENT_GLYPH:
-                occupancy[i, j] = 1
-            elif ch == WALL_GLYPH:
-                walls[i, j] = 1
-    return occupancy, walls
-
-
 def export_csv(result: SimulationResult, stream: IO[str]) -> None:
     """Evacuation curve as CSV: step,remaining[,spread].
 
@@ -159,29 +144,6 @@ def export_csv(result: SimulationResult, stream: IO[str]) -> None:
         writer.writerow(["step", "remaining"])
         for step, remaining in result.curve:
             writer.writerow([step, remaining])
-
-
-def summarize(evac_times: Iterable[int | None], max_steps: int) -> dict[str, float]:
-    """Batch statistics over per-seed evacuation times.
-
-    Incomplete runs count at max_steps, which makes the mean a lower
-    bound; n_complete says how many actually finished.
-    """
-    evac_times = list(evac_times)
-    bounded = [t if t is not None else max_steps for t in evac_times]
-    if not bounded:
-        raise ValueError("no runs to summarize")
-    ordered = sorted(bounded)
-    p95 = ordered[min(len(ordered) - 1, int(0.95 * (len(ordered) - 1) + 0.5))]
-    return {
-        "mean": mean(bounded),
-        "median": median(bounded),
-        "p95": float(p95),
-        "min": float(ordered[0]),
-        "max": float(ordered[-1]),
-        "n": float(len(bounded)),
-        "n_complete": float(sum(t is not None for t in evac_times)),
-    }
 
 
 def export_field_csv(values: np.ndarray, stream: IO[str]) -> None:

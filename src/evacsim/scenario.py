@@ -30,10 +30,12 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-CELL_SIZE_M = 0.4
+if TYPE_CHECKING:
+    from .floorfield import StaticField
 
 WALL_GLYPH = "#"
 FLOOR_GLYPH = "."
@@ -44,10 +46,19 @@ _GLYPHS = frozenset((WALL_GLYPH, FLOOR_GLYPH, EXIT_GLYPH, AGENT_GLYPH))
 # Movement directions, shared vocabulary for the whole package.  Row-major
 # grid, row 0 at the top, so "up" decreases the row index.
 UP, RIGHT, DOWN, LEFT = 0, 1, 2, 3
-DIRECTIONS = (UP, RIGHT, DOWN, LEFT)
 DIR_OFFSETS = ((-1, 0), (0, 1), (1, 0), (0, -1))
 
-PARAM_KEYS = ("k_S", "k_P", "k_W", "r", "mu", "seed", "max_steps")
+# file key -> ModelParams attribute, in the file's key order
+PARAM_ATTRS = {
+    "k_S": "k_s",
+    "k_P": "k_p",
+    "k_W": "k_w",
+    "r": "r",
+    "mu": "mu",
+    "seed": "seed",
+    "max_steps": "max_steps",
+}
+PARAM_KEYS = tuple(PARAM_ATTRS)
 
 Cell = tuple[int, int]
 
@@ -95,9 +106,6 @@ class Grid:
     def in_bounds(self, cell: Cell) -> bool:
         i, j = cell
         return 0 <= i < self.height and 0 <= j < self.width
-
-    def is_wall(self, cell: Cell) -> bool:
-        return self.in_bounds(cell) and bool(self.walls[cell])
 
     @cached_property
     def exit_mask(self) -> np.ndarray:
@@ -271,58 +279,18 @@ def parse_scenario(text: str) -> Scenario:
                 agents.append((i, j))
 
     grid = Grid(height=height, width=width, walls=walls, exits=frozenset(exits))
-    params = ModelParams(
-        k_s=raw_params["k_S"],
-        k_p=raw_params["k_P"],
-        k_w=raw_params["k_W"],
-        r=raw_params["r"],
-        mu=raw_params["mu"],
-        seed=raw_params["seed"],
-        max_steps=raw_params["max_steps"],
-    )
+    params = ModelParams(**{PARAM_ATTRS[key]: value for key, value in raw_params.items()})
     return Scenario(grid=grid, initial_agents=tuple(agents), params=params)
 
 
-def serialize_scenario(scenario: Scenario) -> str:
-    """Render a Scenario back to file text (parse . serialize is identity)."""
-    p = scenario.params
-    values = {
-        "k_S": repr(p.k_s),
-        "k_P": repr(p.k_p),
-        "k_W": repr(p.k_w),
-        "r": str(p.r),
-        "mu": repr(p.mu),
-        "seed": str(p.seed),
-        "max_steps": str(p.max_steps),
-    }
-    out = [f"{key} = {values[key]}" for key in PARAM_KEYS]
-    out.append("")
-    grid = scenario.grid
-    occupied = set(scenario.initial_agents)
-    for i in range(grid.height):
-        row = []
-        for j in range(grid.width):
-            if (i, j) in occupied:
-                row.append(AGENT_GLYPH)
-            elif (i, j) in grid.exits:
-                row.append(EXIT_GLYPH)
-            elif grid.walls[i, j]:
-                row.append(WALL_GLYPH)
-            else:
-                row.append(FLOOR_GLYPH)
-        out.append("".join(row))
-    return "\n".join(out) + "\n"
+def validate(scenario: Scenario, field: StaticField) -> list[str]:
+    """Check scenario invariants against the grid's static field; return violations.
 
-
-def validate(scenario: Scenario, field: "np.ndarray | object") -> list[str]:
-    """Check scenario invariants against the static field; return violations.
-
-    `field` is the StaticField of the grid (or any object with a `.values`
-    array, or the array itself).  Reported violations, one string each:
-    missing exits, non-wall border cells that are not exits, agents out of
-    bounds / on walls / duplicated, and agents with no path to an exit.
+    Reported violations, one string each: missing exits, non-wall border
+    cells that are not exits, agents out of bounds / on walls / duplicated,
+    and agents with no path to an exit.
     """
-    values = getattr(field, "values", field)
+    values = field.values
     grid = scenario.grid
     problems: list[str] = []
 

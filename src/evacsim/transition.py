@@ -14,95 +14,34 @@ the flagged zero distribution instead.
 
 TransitionTables precomputes everything static per scenario (field drops,
 sight lines, wall terms, kernel ray weights) so that a simulation step only
-gathers occupancy along precomputed rays and exponentiates; the scalar
-functions stay as the readable reference implementation.
+gathers occupancy along precomputed rays and exponentiates.  The same
+rules written one cell and one direction at a time live in the test
+suite's oracles, as the reference these tables are checked against.
+
+r*_d is the run of free cells ahead before the first wall, capped at the
+sight radius r (people do not block sight), and
+
+    D_d = min(1, (1/r*) * sum_{m=1..r*} phi(m / C) * occupancy[cell + m*d]),  C = (r* + 1) / sqrt(5)
+
+so nearer people weigh more than distant ones.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .floorfield import NEG_INF, StaticField, delta_s, max_delta_s
-from .perception import SQRT5, _KERNEL_A, _KERNEL_B, _KERNEL_SCALE, density, obstacle_distance
-from .scenario import DIR_OFFSETS, Cell, Grid, ModelParams
+from .floorfield import StaticField
+from .scenario import DIR_OFFSETS, Grid, ModelParams
 
+SQRT5 = math.sqrt(5.0)
 
-@dataclass(frozen=True)
-class DirectionWeights:
-    """Unnormalized weights p~ per direction (up, right, down, left) and their sum."""
-
-    p_tilde: np.ndarray
-    norm: float
-
-
-@dataclass(frozen=True)
-class TransitionDistribution:
-    """Normalized movement distribution; norm_zero means motion is forbidden."""
-
-    p: np.ndarray
-    norm_zero: bool
-
-
-def unnormalized_weight(
-    field: StaticField,
-    grid: Grid,
-    occupancy: np.ndarray,
-    cell: Cell,
-    direction: int,
-    params: ModelParams,
-) -> float:
-    """p~ for one direction; exactly 0.0 for walls and unreachable neighbors."""
-    i, j = cell
-    di, dj = DIR_OFFSETS[direction]
-    ni, nj = i + di, j + dj
-    if not grid.in_bounds((ni, nj)) or grid.walls[ni, nj]:
-        return 0.0
-    ds = delta_s(field, cell, direction)
-    if ds == NEG_INF:
-        return 0.0
-    r_star = obstacle_distance(grid, cell, direction, params.r)
-    # the neighbor itself is free, so at least one cell is visible
-    dens = density(occupancy, cell, direction, r_star)
-    expo = params.k_s * ds - params.k_p * dens
-    if ds >= max_delta_s(field, cell):
-        expo -= params.k_w * (1.0 - r_star / params.r)
-    return math.exp(expo)
-
-
-def direction_weights(
-    field: StaticField,
-    grid: Grid,
-    occupancy: np.ndarray,
-    cell: Cell,
-    params: ModelParams,
-) -> DirectionWeights:
-    p_tilde = np.array(
-        [unnormalized_weight(field, grid, occupancy, cell, d, params) for d in range(4)],
-        dtype=np.float64,
-    )
-    return DirectionWeights(p_tilde=p_tilde, norm=float(p_tilde.sum()))
-
-
-def transition_distribution(
-    field: StaticField,
-    grid: Grid,
-    occupancy: np.ndarray,
-    cell: Cell,
-    params: ModelParams,
-) -> TransitionDistribution:
-    """Normalized distribution over the four directions for one pedestrian.
-
-    p sums to 1 except on an all-blocked cell, where every entry is 0 and
-    norm_zero is set.  p[d] == 0 iff direction d is blocked by a wall (or
-    leaves the walkable region).
-    """
-    w = direction_weights(field, grid, occupancy, cell, params)
-    if w.norm == 0.0:
-        return TransitionDistribution(p=np.zeros(4), norm_zero=True)
-    return TransitionDistribution(p=w.p_tilde / w.norm, norm_zero=False)
+# Epanechnikov-type kernel: phi(z) = (0.335 - 0.067 z^2) * 4.4742 inside
+# |z| <= sqrt(5), zero outside.  The scale makes the peak ~1.4989.
+_KERNEL_A = 0.335
+_KERNEL_B = 0.067
+_KERNEL_SCALE = 4.4742
 
 
 class TransitionTables:

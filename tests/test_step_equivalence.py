@@ -47,8 +47,8 @@ def lockstep(scenario: Scenario, max_steps: int | None = None, rng_prep=None) ->
         assert all(x.tobytes() == y.tobytes() for x, y in zip(fused, split)), (
             f"distributions differ before step {a.step + 1}"
         )
-        a = step(a, field, grid, params, tables)
-        b = oracle_step(b, field, grid, params, tables)
+        a = step(a, grid, params, tables)
+        b = oracle_step(b, grid, params, tables)
         assert a.agents == b.agents, f"agents differ after step {a.step}"
         assert np.array_equal(a.occupancy, b.occupancy), f"occupancy differs after step {a.step}"
         assert a.rng.bit_generator.state == b.rng.bit_generator.state, (
@@ -217,5 +217,5 @@ def test_draw_past_rounded_total_takes_last_positive_direction():
     for advance in (step, oracle_step):
         state = initial_state(Scenario(grid=grid, initial_agents=(cell,), params=sc.params))
         state.rng = QueuedUniforms([top])
-        moved.append(advance(state, field, grid, sc.params, tables).agents)
+        moved.append(advance(state, grid, sc.params, tables).agents)
     assert moved[0] == moved[1] == [(0, (cell[0] + 1, cell[1]))]  # down, the last positive

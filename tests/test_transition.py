@@ -6,12 +6,8 @@ import pytest
 from conftest import make_scenario, random_grid
 from evacsim.floorfield import compute_sff
 from evacsim.scenario import DOWN, LEFT, RIGHT, UP, ModelParams
-from evacsim.transition import (
-    TransitionTables,
-    direction_weights,
-    transition_distribution,
-    unnormalized_weight,
-)
+from evacsim.transition import TransitionTables
+from oracles import direction_weights, transition_distribution, unnormalized_weight
 
 
 def setup_open_room():
