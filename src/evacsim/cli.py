@@ -24,7 +24,7 @@ from .metrics import export_csv, export_field_csv, render_snapshot
 from .scenario import (
     PARAM_ATTRS,
     PARAM_KEYS,
-    ModelParams,
+    Scenario,
     ScenarioError,
     _parse_param_value,
     parse_scenario,
@@ -44,7 +44,7 @@ class RunConfig:
     out_dir: str
     seeds: list[int] | None
     snapshot_steps: tuple[int, ...]
-    overrides: tuple[tuple[str, str], ...]
+    overrides: dict  # ModelParams attribute -> parsed --set value
     workers: int = 1
     dump_sff: bool = False
     dump_distributions: int | None = None
@@ -54,28 +54,18 @@ class RunConfig:
 class RunTask:
     """One (parameter value, seed) simulation, picklable for worker pools.
 
-    overrides are applied in order, so a swept pair last wins over --set.
+    scenario is the parsed file with --set, then the swept pair, then the
+    seed applied, so the swept value wins over --set.
     """
 
-    scenario_text: str
-    overrides: tuple[tuple[str, str], ...]
-    seed: int
+    scenario: Scenario
     out_dir: str
     snapshot_steps: tuple[int, ...]
     capture_step: int | None
 
 
-def _apply_overrides(params: ModelParams, pairs: tuple[tuple[str, str], ...]) -> ModelParams:
-    for key, raw in pairs:
-        params = replace(params, **{PARAM_ATTRS[key]: _parse_param_value(key, raw, 0)})
-    return params
-
-
 def _run_entry(task: RunTask):
-    scenario = parse_scenario(task.scenario_text)
-    params = replace(_apply_overrides(scenario.params, task.overrides), seed=task.seed)
-    scenario = replace(scenario, params=params)
-
+    scenario = task.scenario
     result = run(scenario, snapshot_steps=task.snapshot_steps, capture_step=task.capture_step)
 
     out = Path(task.out_dir)
@@ -94,7 +84,7 @@ def _run_entry(task: RunTask):
                 w.writerow([aid, i, j, *(repr(float(v)) for v in p), int(norm_zero)])
 
     spread_at = {s.step: s.value for s in result.spread if s.step in task.snapshot_steps}
-    return task.seed, result.evac_time, spread_at
+    return scenario.params.seed, result.evac_time, spread_at
 
 
 def _parse_int_list(raw: str, flag: str) -> list[int]:
@@ -104,11 +94,14 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
         raise ScenarioError(f"{flag} expects a comma-separated integer list, got {raw!r}") from None
     if not items:
         raise ScenarioError(f"{flag} list is empty")
+    if min(items) < 0:
+        raise ScenarioError(f"{flag} entries must be >= 0, got {min(items)}")
     return items
 
 
 def _check_unique(items: list, flag: str) -> None:
-    """Two equal entries would run twice into one output directory."""
+    """Two equal entries would run twice into one output directory or
+    repeat a column of the per-seed table."""
     seen = set()
     for item in items:
         if item in seen:
@@ -116,16 +109,16 @@ def _check_unique(items: list, flag: str) -> None:
         seen.add(item)
 
 
-def _parse_set_flags(pairs: list[str]) -> tuple[tuple[str, str], ...]:
-    out = []
+def _parse_set_flags(pairs: list[str]) -> dict:
+    """--set KEY=VALUE flags as ModelParams attributes; a later flag wins."""
+    out = {}
     for pair in pairs:
         key, eq, raw = pair.partition("=")
         key = key.strip()
         if not eq or key not in PARAM_KEYS:
             raise ScenarioError(f"--set expects key=value with a known key, got {pair!r}")
-        _parse_param_value(key, raw.strip(), 0)
-        out.append((key, raw.strip()))
-    return tuple(out)
+        out[PARAM_ATTRS[key]] = _parse_param_value(key, raw.strip(), 0)
+    return out
 
 
 def _execute(tasks: list[RunTask], workers: int):
@@ -151,24 +144,20 @@ def _aggregate_row(label_cells: list, rows: list[tuple], snapshot_steps: tuple[i
 
 
 def _prepare(config: RunConfig):
-    """Parse, override, validate; returns (text, seeds, field) or all None."""
-    text = Path(config.scenario_path).read_text(encoding="ascii")
-    scenario = parse_scenario(text)
-    try:
-        params = _apply_overrides(scenario.params, config.overrides)
-    except ValueError as e:
-        raise ScenarioError(str(e)) from None
+    """Parse, apply --set, validate; returns (scenario, seeds, field) or all None."""
+    scenario = parse_scenario(Path(config.scenario_path).read_text(encoding="ascii"))
+    scenario = replace(scenario, params=replace(scenario.params, **config.overrides))
     field = compute_sff(scenario.grid)
-    problems = validate(replace(scenario, params=params), field)
+    problems = validate(scenario, field)
     if problems:
         for p in problems:
             print(f"invalid scenario: {p}", file=sys.stderr)
         return None, None, None
-    seeds = config.seeds if config.seeds is not None else [params.seed]
+    seeds = config.seeds if config.seeds is not None else [scenario.params.seed]
     for s in seeds:
         if not (0 <= s < 2**64):
             raise ScenarioError(f"seed must fit in 64 bits, got {s}")
-    return text, seeds, field
+    return scenario, seeds, field
 
 
 def _command(config: RunConfig, sweep: str | None) -> int:
@@ -179,7 +168,7 @@ def _command(config: RunConfig, sweep: str | None) -> int:
     each value is a group, its pair the last override, and the table is
     aggregate.csv.  Each group's rows end with its _aggregate_row.
     """
-    groups = [([], (), "")]  # (table label cells, extra overrides, directory prefix)
+    groups = [([], {}, "")]  # (table label cells, swept override, directory prefix)
     if sweep is not None:
         param, _, raw_values = sweep.partition("=")
         param = param.strip()
@@ -191,20 +180,17 @@ def _command(config: RunConfig, sweep: str | None) -> int:
         if not values:
             raise ScenarioError("--sweep value list is empty")
         _check_unique(values, "--sweep")
-        for v in values:
-            _parse_param_value(param, v, 0)
-        groups = [([param, v], ((param, v),), f"p{v}_") for v in values]
+        groups = [([param, v], {PARAM_ATTRS[param]: _parse_param_value(param, v, 0)}, f"p{v}_")
+                  for v in values]
 
-    text, seeds, field = _prepare(config)
-    if text is None:
+    scenario, seeds, field = _prepare(config)
+    if scenario is None:
         return 3
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = [
         RunTask(
-            scenario_text=text,
-            overrides=config.overrides + swept,
-            seed=seed,
+            scenario=replace(scenario, params=replace(scenario.params, **swept, seed=seed)),
             out_dir=str(out / f"{prefix}s{seed}"),
             snapshot_steps=config.snapshot_steps,
             capture_step=config.dump_distributions,
@@ -275,9 +261,12 @@ def _config_from_args(args) -> RunConfig:
         snaps = ()
     else:
         snaps = tuple(_parse_int_list(args.snapshot_steps, "--snapshot-steps"))
+        _check_unique(snaps, "--snapshot-steps")
     seeds = _parse_int_list(args.seeds, "--seeds") if args.seeds else None
     if seeds is not None:
         _check_unique(seeds, "--seeds")
+    if args.dump_distributions is not None and args.dump_distributions < 0:
+        raise ScenarioError(f"--dump-distributions must be >= 0, got {args.dump_distributions}")
     return RunConfig(
         scenario_path=args.scenario,
         out_dir=args.out,

@@ -26,6 +26,11 @@ makes at least one.  The generator is therefore never ahead of the scan,
 needs no rewinding, and is left exactly where one call per draw leaves it,
 with its state (the buffered 32-bit half-word included) untouched
 otherwise.  Contested cells then draw one call at a time, in raster order.
+
+The run state says where each agent stands in one form only: ids ascending
+and, at the same positions, flat row-major cells, the index that
+TransitionTables uses.  Moves and exits are array writes to these and to
+the occupancy; SimulationState.agents derives (id, (i, j)) pairs from them.
 """
 
 from __future__ import annotations
@@ -42,28 +47,35 @@ from .transition import TransitionTables
 
 @dataclass
 class SimulationState:
-    """Mutable run state; step() returns a new one sharing the generator."""
+    """Mutable run state; step() returns a new one sharing the generator.
+
+    ids (ascending) and cells are int64 arrays of one entry per agent in
+    the room: cells[k] is agent ids[k]'s flat row-major cell, i * width + j,
+    and occupancy is 1 exactly there.
+    """
 
     occupancy: np.ndarray
-    agents: list[tuple[int, Cell]]
+    ids: np.ndarray
+    cells: np.ndarray
     step: int
     rng: np.random.Generator
+
+    @property
+    def agents(self) -> list[tuple[int, Cell]]:
+        """(id, (i, j)) per agent, ascending by id; derived from ids and cells."""
+        w = self.occupancy.shape[1]
+        return [(aid, divmod(c, w)) for aid, c in zip(self.ids.tolist(), self.cells.tolist())]
 
 
 def initial_state(scenario: Scenario) -> SimulationState:
     """State at step 0.  Agent ids follow the scenario's raster order."""
     grid = scenario.grid
     occ = np.zeros((grid.height, grid.width), dtype=np.uint8)
-    for cell in scenario.initial_agents:
-        occ[cell] = 1
-    agents = list(enumerate(scenario.initial_agents))
+    cells = np.array([i * grid.width + j for i, j in scenario.initial_agents], dtype=np.int64)
+    occ.reshape(-1)[cells] = 1
+    ids = np.arange(cells.size, dtype=np.int64)
     rng = np.random.Generator(np.random.PCG64(scenario.params.seed))
-    return SimulationState(occupancy=occ, agents=agents, step=0, rng=rng)
-
-
-def _agent_cells(agents: list[tuple[int, Cell]], width: int) -> np.ndarray:
-    """Flat row-major cell index of every agent, in list order."""
-    return np.fromiter((i * width + j for _, (i, j) in agents), dtype=np.int64, count=len(agents))
+    return SimulationState(occupancy=occ, ids=ids, cells=cells, step=0, rng=rng)
 
 
 def step(
@@ -80,10 +92,8 @@ def step(
     else who reaches a door.
     """
     occ = state.occupancy
-    agents = state.agents
+    cells = state.cells
     rng = state.rng
-    w = grid.width
-    cells = _agent_cells(agents, w)
     p, norm_zero = tables.distributions(occ, cells)
     # per agent and direction: the neighbour cell if it is free in the
     # snapshot, else -1.  Blocked directions hold the agent's own (occupied)
@@ -91,7 +101,8 @@ def step(
     nbr = tables.ray_idx[:, cells, 0]
     free = np.where(occ.reshape(-1)[nbr] != 0, -1, nbr).T.ravel().tolist()
     prob = p.ravel().tolist()
-    drawing = np.flatnonzero(~(norm_zero | grid.exit_mask.reshape(-1)[cells])).tolist()
+    on_exit = grid.exit_mask.reshape(-1)
+    drawing = np.flatnonzero(~(norm_zero | on_exit[cells])).tolist()
 
     # the draw scan: agents ascending, one draw each and a second one after
     # a hit on an occupied cell; u is refilled with as many draws as are
@@ -136,7 +147,8 @@ def step(
         claims.setdefault(t, []).append(k)
 
     # friction: contested cells in raster order (ascending flat index)
-    dest: dict[int, int] = {}
+    movers: list[int] = []
+    targets: list[int] = []
     mu = params.mu
     for t in sorted(claims):
         group = claims[t]
@@ -144,34 +156,28 @@ def step(
             if rng.random() < mu:
                 continue
             size = len(group)
-            dest[group[min(int(rng.random() * size), size - 1)]] = t
+            movers.append(group[min(int(rng.random() * size), size - 1)])
         else:
-            dest[group[0]] = t
+            movers.append(group[0])
+        targets.append(t)
 
+    new_cells = cells.copy()
+    new_cells[movers] = targets
+    keep = ~on_exit[new_cells]
+    new_cells = new_cells[keep]
     new_occ = occ.copy()
     flat = new_occ.reshape(-1)
-    src = cells.tolist()
-    # a target was free in the snapshot, so it is nobody's source
-    for k, t in dest.items():
-        flat[src[k]] = 0
-        flat[t] = 1
-    exits = {i * w + j for i, j in grid.exits}
-    out: list[tuple[int, Cell]] = []
-    for k, entry in enumerate(agents):
-        t = dest.get(k, src[k])
-        if t in exits:
-            flat[t] = 0
-        elif t == src[k]:
-            out.append(entry)
-        else:
-            out.append((entry[0], divmod(t, w)))
+    flat[cells] = 0
+    flat[new_cells] = 1
     # two winners on one cell cannot happen; a desync here means the
     # conflict grouping or the parallel move application is broken
-    if int(flat.sum()) != len(out):
+    if int(flat.sum()) != new_cells.size:
         raise RuntimeError(
-            f"step {state.step}: occupancy holds {int(flat.sum())} people, agent list {len(out)}"
+            f"step {state.step}: occupancy holds {int(flat.sum())} people, "
+            f"agent list {new_cells.size}"
         )
-    return SimulationState(occupancy=new_occ, agents=out, step=state.step + 1, rng=rng)
+    return SimulationState(occupancy=new_occ, ids=state.ids[keep], cells=new_cells,
+                           step=state.step + 1, rng=rng)
 
 
 def run(
@@ -195,29 +201,28 @@ def run(
     axis = exit_axis(grid)
     wanted = set(snapshot_steps)
 
-    curve = [(0, len(state.agents))]
+    curve = [(0, state.cells.size)]
     snapshots: list[tuple[int, np.ndarray]] = []
     spread: list[SpreadSample] = []
     captured: list[tuple[int, Cell, np.ndarray, bool]] = []
     if 0 in wanted:
         snapshots.append((0, state.occupancy.copy()))
-    if axis is not None and state.agents:
+    if axis is not None and state.cells.size:
         spread.append(SpreadSample(0, spread_metric(state, axis)))
 
-    while state.agents and state.step < params.max_steps:
+    while state.cells.size and state.step < params.max_steps:
         if capture_step is not None and state.step == capture_step:
-            cells = _agent_cells(state.agents, grid.width)
-            p_rows, norm_zero = tables.distributions(state.occupancy, cells)
+            p_rows, norm_zero = tables.distributions(state.occupancy, state.cells)
             for k, (aid, cell) in enumerate(state.agents):
                 captured.append((aid, cell, p_rows[k].copy(), bool(norm_zero[k])))
         state = step(state, grid, params, tables)
-        curve.append((state.step, len(state.agents)))
+        curve.append((state.step, state.cells.size))
         if state.step in wanted:
             snapshots.append((state.step, state.occupancy.copy()))
-        if axis is not None and state.agents:
+        if axis is not None and state.cells.size:
             spread.append(SpreadSample(state.step, spread_metric(state, axis)))
 
-    evac_time = state.step if not state.agents else None
+    evac_time = state.step if not state.cells.size else None
     if evac_time is not None:
         # the empty room is absorbing, so later configured snapshots are
         # well-defined; an incomplete run gets no such padding

@@ -82,14 +82,18 @@ def exit_axis(grid: Grid) -> ExitAxis | None:
 def spread_metric(state, axis: ExitAxis) -> float:
     """Mean absolute lateral offset of the remaining crowd from the exit axis.
 
-    state needs an `agents` list of (id, (i, j)).  Undefined for an empty
-    room; callers stop sampling once everyone is out.
+    state needs `cells`, the agents' flat row-major cells, and an
+    `occupancy` whose shape gives the width.  Undefined for an empty room;
+    callers stop sampling once everyone is out.
     """
-    if not state.agents:
+    cells = state.cells
+    if not cells.size:
         raise ValueError("spread is undefined for an empty room")
-    pick = 0 if axis.axis == "row" else 1
-    coords = np.fromiter((cell[pick] for _, cell in state.agents), dtype=np.float64)
-    # the add.reduce and divide of ndarray.mean, without its Python-level wrapper
+    w = state.occupancy.shape[1]
+    coords = cells // w if axis.axis == "row" else cells % w
+    # integers are exact in float64, so the offsets are those of float
+    # coordinates; the add.reduce and divide of ndarray.mean, without its
+    # Python-level wrapper
     return float(np.abs(coords - axis.coordinate).sum() / coords.size)
 
 

@@ -353,7 +353,10 @@ def oracle_step(state, grid, params, tables):
             agents.append((aid, now))
     if int(new_occ.sum()) != len(agents):
         raise RuntimeError("occupancy and agent list disagree")
-    return SimulationState(occupancy=new_occ, agents=agents, step=state.step + 1, rng=state.rng)
+    ids = np.array([aid for aid, _ in agents], dtype=np.int64)
+    cells = np.array([i * w + j for _, (i, j) in agents], dtype=np.int64)
+    return SimulationState(occupancy=new_occ, ids=ids, cells=cells, step=state.step + 1,
+                           rng=state.rng)
 
 
 # -- the scalar reference path: one cell, one direction at a time ---------

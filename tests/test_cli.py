@@ -153,6 +153,22 @@ def test_run_duplicate_seeds_exit_2(room_file, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv_tail, message",
+    [
+        (["--seeds", "1,2", "--snapshot-steps", "3,3"], "--snapshot-steps lists 3 more than once"),
+        (["--snapshot-steps", "-5"], "--snapshot-steps entries must be >= 0, got -5"),
+        (["--dump-distributions", "-1"], "--dump-distributions must be >= 0, got -1"),
+    ],
+    ids=["duplicate-snapshot-step", "negative-snapshot-step", "negative-dump-step"],
+)
+def test_run_bad_step_flags_exit_2(room_file, tmp_path, capsys, argv_tail, message):
+    rc = main(["run", "--scenario", str(room_file), "--out", str(tmp_path / "o"), *argv_tail])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_set_flag_exit_2(room_file, tmp_path, capsys):
     rc = main(["run", "--scenario", str(room_file), "--out", str(tmp_path / "o"),
                "--set", "k_S"])

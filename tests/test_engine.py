@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_scenario, random_grid
 from evacsim.engine import initial_state, run, step
@@ -282,6 +284,56 @@ def test_run_conservation_invariants_stepwise():
         prev = now
         if not state.agents:
             break
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=40, deadline=None)
+@given(
+    room_seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(4, 14), st.integers(4, 14)),
+    wall_frac=st.floats(0.0, 0.3),
+    density=st.floats(0.05, 0.9),
+    k_s=st.floats(0.0, 8.0),
+    k_p=st.floats(0.0, 20.0),
+    k_w=st.floats(0.0, 8.0),
+    r=st.integers(1, 10),
+    mu=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_rooms_conserve_agents(room_seed, shape, wall_frac, density, k_s, k_p, k_w, r,
+                                      mu, seed):
+    """At every step each agent holds one occupied cell and nobody else
+    does; survivors moved at most one orthogonal cell, and whoever left
+    stood on an exit: one it was on, or a free one next to it."""
+    rng = np.random.default_rng(room_seed)
+    h, w = shape
+    grid = random_grid(rng, h, w, wall_frac, int(rng.integers(1, 4)), enclosed=True)
+    free = [(i, j) for i in range(h) for j in range(w) if not grid.walls[i, j]]
+    agents = tuple(cell for cell in free if rng.random() < density)
+    params = ModelParams(k_s=k_s, k_p=k_p, k_w=k_w, r=r, mu=mu, seed=seed, max_steps=40)
+    tables = TransitionTables(compute_sff(grid), grid, params)
+    on_exit = grid.exit_mask
+    state = initial_state(Scenario(grid=grid, initial_agents=agents, params=params))
+    prev = None
+    while True:
+        occ, ids, cells = state.occupancy, state.ids, state.cells
+        assert (occ.reshape(-1)[cells] == 1).all() and int(occ.sum()) == cells.size
+        assert (np.diff(ids) > 0).all()
+        if prev is not None:
+            for aid, c in zip(ids.tolist(), cells.tolist()):
+                (i, j), (pi, pj) = divmod(c, w), divmod(prev[aid], w)
+                assert abs(i - pi) + abs(j - pj) <= 1
+            assert not on_exit.reshape(-1)[cells].any()
+            for aid in prev.keys() - set(ids.tolist()):
+                i, j = divmod(prev[aid], w)
+                reach = [(i + di, j + dj) for di, dj in DIR_OFFSETS]
+                assert on_exit[i, j] or any(
+                    grid.in_bounds(c) and on_exit[c] and not prev_occ[c] for c in reach
+                )
+        if not cells.size or state.step == params.max_steps:
+            break
+        prev, prev_occ = dict(zip(ids.tolist(), cells.tolist())), occ
+        state = step(state, grid, params, tables)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

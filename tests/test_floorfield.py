@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_scenario, random_grid
 from evacsim.floorfield import SQRT2, compute_sff
@@ -88,6 +90,31 @@ def test_lipschitz_bound_exhaustive():
                     ds = delta_s(compute_sff(grid), (i, j), d)
                     if ds != NEG_INF:
                         assert abs(ds) <= 1.0 + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    room_seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(3, 24), st.integers(3, 24)),
+    wall_frac=st.floats(0.0, 0.5),
+    n_exits=st.integers(1, 4),
+)
+def test_lipschitz_bound_random_rooms(room_seed, shape, wall_frac, n_exits):
+    """Reachable neighbours differ by at most the step cost: 1 orthogonally,
+    sqrt(2) across a diagonal that cuts between two free cells."""
+    grid = random_grid(np.random.default_rng(room_seed), *shape, wall_frac, n_exits,
+                       enclosed=True)
+    s = compute_sff(grid).values
+    free = grid.walls == 0
+    for a, b, cost, allowed in (
+        (s[:-1, :], s[1:, :], 1.0, True),
+        (s[:, :-1], s[:, 1:], 1.0, True),
+        (s[:-1, :-1], s[1:, 1:], SQRT2, free[:-1, 1:] & free[1:, :-1]),
+        (s[:-1, 1:], s[1:, :-1], SQRT2, free[:-1, :-1] & free[1:, 1:]),
+    ):
+        both = np.isfinite(a) & np.isfinite(b) & allowed
+        # the search relaxes with this very addition, so the bound is exact
+        assert (b[both] <= a[both] + cost).all() and (a[both] <= b[both] + cost).all()
 
 
 def test_removing_wall_never_increases_distance():

@@ -2,7 +2,9 @@
 
 A definition in src/evacsim/ must be referenced outside its own body,
 somewhere in src/ or perfbench/, or be exported in evacsim.__all__.
-Reference code that only tests call belongs in tests/oracles.py.
+Reference code that only tests call belongs in tests/oracles.py.  The
+package holds no assert statements: python -O strips them, so its
+invariants raise real errors.
 """
 
 import ast
@@ -38,3 +40,12 @@ def test_every_definition_in_src_is_used_outside_tests():
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == []
 
+
+def test_no_assert_statements_in_src():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -23,8 +23,11 @@ from oracles import parse_snapshot
 
 
 class FakeState:
+    """What spread_metric reads: flat cells on a 300-wide occupancy."""
+
     def __init__(self, cells):
-        self.agents = [(k, c) for k, c in enumerate(cells)]
+        self.occupancy = np.zeros((300, 300), dtype=np.uint8)
+        self.cells = np.array([i * 300 + j for i, j in cells], dtype=np.int64)
 
 
 def occ_of(grid, cells):
