@@ -97,8 +97,8 @@ def step(
     p, norm_zero = tables.distributions(occ, cells)
     # per agent and direction: the neighbour cell if it is free in the
     # snapshot, else -1.  Blocked directions hold the agent's own (occupied)
-    # cell in ray_idx and have p = 0, so they are never drawn.
-    nbr = tables.ray_idx[:, cells, 0]
+    # cell in tables.nbr and have p = 0, so they are never drawn.
+    nbr = tables.nbr.take(cells, axis=1)
     free = np.where(occ.reshape(-1)[nbr] != 0, -1, nbr).T.ravel().tolist()
     prob = p.ravel().tolist()
     on_exit = grid.exit_mask.reshape(-1)

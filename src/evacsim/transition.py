@@ -13,8 +13,8 @@ the sum gives the distribution; an all-blocked cell has norm 0 and yields
 the flagged zero distribution instead.
 
 TransitionTables precomputes everything static per scenario (field drops,
-sight lines, wall terms, kernel ray weights) so that a simulation step only
-gathers occupancy along precomputed rays and exponentiates.  The same
+sight lines, wall terms, kernel weights per r*) so that a simulation step
+only gathers occupancy along rays and exponentiates.  The same
 rules written one cell and one direction at a time live in the test
 suite's oracles, as the reference these tables are checked against.
 
@@ -47,14 +47,15 @@ _KERNEL_SCALE = 4.4742
 class TransitionTables:
     """Static per-scenario factors, flattened row-major over the grid.
 
-    For every cell and direction this precomputes the field drop, the sight
-    line r*, the wall-term exponent and the kernel ray (cell indices plus
-    weights, zero-padded to length r).  distributions() then needs one
-    occupancy gather and one exp, shared by all four directions.
-
-    The m-th ray cell of every cell is one shifted slice of a free mask
-    padded with r walls; ray_idx and ray_w are filled in place, without
-    (size, r) float or int temporaries.
+    Per direction d and cell: static_expo (field drop and wall term), nbr
+    (cell + offset[d] if that neighbour is free, else the cell itself) and
+    row_key = d * (r + 1) + r*_d.  The m-th ray cell is cell + m * offset[d]
+    and its kernel weight depends on (m, r*) alone, so the rays are rows of
+    three 4 * (r + 1)-row tables that row_key selects: off_rows (m * offset[d]
+    up to r*, 0 past it, so every index is in the grid), w_rows (weights, 0.0
+    past r*) and div_rows (max(r*, 1)); 96 B per cell for any r.  Past r* a
+    ray stays on its own occupied cell, where weight 0.0 gives a +0.0
+    product just as per-cell (size, r) rays do, so p has their bits.
     """
 
     def __init__(self, field: StaticField, grid: Grid, params: ModelParams):
@@ -66,44 +67,50 @@ class TransitionTables:
         free_pad = np.zeros((h + 2 * r, w + 2 * r), dtype=bool)
         free_pad[r:r + h, r:r + w] = grid.walls == 0
 
-        steps = np.arange(1, r + 1)
+        cells = np.arange(size)
         ds = np.full((4, size), -np.inf)
-        r_star = np.zeros((4, size), dtype=np.int64)
-        ray_idx = np.empty((4, size, r), dtype=np.int64)
-        ray_w = np.empty((4, size, r), dtype=np.float64)
+        r_star = np.empty((4, size), dtype=np.int64)
+        nbr = np.empty((4, size), dtype=np.int64)
         look = np.empty((r, h, w), dtype=bool)
-
         for d, (di, dj) in enumerate(DIR_OFFSETS):
             for m in range(1, r + 1):
                 look[m - 1] = free_pad[r + m * di:r + m * di + h, r + m * dj:r + m * dj + w]
-            # the run of free cells ahead, as (size, r): ray cells or the cell itself
+            # the run of free cells ahead; r* is its length
             np.logical_and.accumulate(look, axis=0, out=look)
-            run = look.reshape(r, size).T
             r_star[d] = look.sum(axis=0).reshape(-1)
-            ray_idx[d] = np.arange(size)[:, None]
-            np.add(ray_idx[d], steps * (di * w + dj), out=ray_idx[d], where=run)
+            free_next = look[0].reshape(-1)
+            nbr[d] = np.where(free_next, cells + (di * w + dj), cells)
             # field drop towards a free neighbour, where both ends reach an exit
-            s_next = s_flat[ray_idx[d, :, 0]]
-            ok = run[:, 0] & np.isfinite(s_next) & np.isfinite(s_flat)
+            s_next = s_flat[nbr[d]]
+            ok = free_next & np.isfinite(s_next) & np.isfinite(s_flat)
             np.subtract(s_flat, s_next, out=ds[d], where=ok)
 
-            # kernel weights phi(m / C) with C = (r* + 1) / sqrt(5), 0 past r*;
-            # m <= r* keeps z below sqrt(5), inside the kernel's support
-            zz = ray_w[d]
-            np.divide(steps.astype(np.float64), ((r_star[d] + 1) / SQRT5)[:, None], out=zz)
-            np.multiply(zz, zz, out=zz)
-            np.multiply(_KERNEL_B, zz, out=zz)
-            np.subtract(_KERNEL_A, zz, out=zz)
-            np.multiply(zz, _KERNEL_SCALE, out=zz)
-            np.copyto(zz, 0.0, where=~run)
+        # static_expo = k_s * ds - k_w * (1 - r*/r) * [ds >= max ds], or -inf
+        # where ds is, built in place in that operation order
+        ok = ds > -np.inf
+        wall = np.divide(r_star, r)
+        np.subtract(1.0, wall, out=wall)
+        np.multiply(params.k_w, wall, out=wall)
+        np.multiply(wall, ds >= ds.max(axis=0), out=wall)
+        with np.errstate(invalid="ignore"):  # k_s = 0 makes 0 * -inf where ok is False
+            np.multiply(params.k_s, ds, out=ds)
+            np.subtract(ds, wall, out=ds)
+        np.copyto(ds, -np.inf, where=~ok)
+        self.static_expo = ds
+        self.nbr = nbr
+        self.row_key = np.add(r_star, (r + 1) * np.arange(4)[:, None], out=r_star)
 
-        max_ds = ds.max(axis=0)
-        wall_term = params.k_w * (1.0 - r_star / params.r) * (ds >= max_ds)
-        with np.errstate(invalid="ignore"):  # k_s = 0 makes 0 * -inf in the dead branch
-            self.static_expo = np.where(ds > -np.inf, params.k_s * ds - wall_term, -np.inf)
-        self.ray_idx = ray_idx
-        self.ray_w = ray_w
-        self.ray_div = np.maximum(r_star, 1).astype(np.float64)
+        # row r* of the ray tables; m <= r* keeps z = m / C below sqrt(5),
+        # inside the kernel's support
+        rs = np.arange(r + 1)
+        steps = np.arange(1, r + 1)
+        past = steps > rs[:, None]
+        z = steps.astype(np.float64) / ((rs + 1) / SQRT5)[:, None]
+        phi = (_KERNEL_A - _KERNEL_B * (z * z)) * _KERNEL_SCALE
+        offsets = np.array([di * w + dj for di, dj in DIR_OFFSETS])
+        self.off_rows = (offsets[:, None, None] * np.where(past, 0, steps)).reshape(-1, r)
+        self.w_rows = np.tile(np.where(past, 0.0, phi), (4, 1))
+        self.div_rows = np.tile(np.maximum(rs, 1).astype(np.float64), 4)
 
     def distributions(self, occupancy: np.ndarray, cells_flat: np.ndarray):
         """Distributions for the given flat cell indices against occupancy.
@@ -111,17 +118,20 @@ class TransitionTables:
         Returns (p, norm_zero): p is (n, 4) rows summing to 1 (all-zero where
         norm_zero), norm_zero is (n,) bool.
 
-        All four directions are gathered at once.  Each ray is still summed
-        over its own contiguous length-r axis, and the weights are summed per
-        row of a contiguous (n, 4) array, so every float operation matches
-        the per-direction evaluation bit for bit.
+        All four directions are gathered at once as (4, n, r) rays rebuilt
+        from the row tables.  Each ray is summed over its own contiguous
+        length-r axis, and the weights are summed per row of a contiguous
+        (n, 4) array, so every float operation matches the per-direction
+        evaluation bit for bit.
         """
-        crowd = (occupancy.reshape(-1)[self.ray_idx[:, cells_flat]]
-                 * self.ray_w[:, cells_flat]).sum(axis=2)
+        key = self.row_key.take(cells_flat, axis=1)
+        ray = self.off_rows.take(key, axis=0)
+        ray += cells_flat[:, None]
+        crowd = (occupancy.reshape(-1).take(ray) * self.w_rows.take(key, axis=0)).sum(axis=2)
         # crowd >= 0 (occupancy and kernel weights are), so of the clamp to
         # [0, 1] only the upper bound can bind
-        dens = np.minimum(crowd / self.ray_div[:, cells_flat], 1.0)
-        weights = np.exp(self.static_expo[:, cells_flat] - self.params.k_p * dens)
+        dens = np.minimum(crowd / self.div_rows.take(key), 1.0)
+        weights = np.exp(self.static_expo.take(cells_flat, axis=1) - self.params.k_p * dens)
         weights = np.ascontiguousarray(weights.T)
         norm = weights.sum(axis=1)
         norm_zero = norm == 0.0

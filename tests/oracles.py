@@ -155,15 +155,33 @@ def density_oracle(ray_occupancy, r_star):
     return total / r_star
 
 
+def expand_tables(tables):
+    """TransitionTables' per-r* rows expanded to per-cell arrays.
+
+    Returns {attribute name: array} for static_expo, the (4, size, r) rays
+    ray_idx (cell indices) and ray_w (kernel weights), and the (4, size)
+    divisors ray_div, as tables_oracle builds them.
+    """
+    key = tables.row_key
+    return {
+        "static_expo": tables.static_expo,
+        "ray_idx": tables.off_rows[key] + np.arange(key.shape[1])[:, None],
+        "ray_w": tables.w_rows[key],
+        "ray_div": tables.div_rows[key],
+    }
+
+
 def distributions_oracle(tables, occupancy, cells_flat):
-    """TransitionTables.distributions evaluated one direction at a time."""
+    """TransitionTables.distributions evaluated one direction at a time,
+    from the expanded per-cell rays."""
     occ_flat = occupancy.reshape(-1).astype(np.float64, copy=False)
     k_p = tables.params.k_p
+    full = expand_tables(tables)
     weights = np.empty((len(cells_flat), 4), dtype=np.float64)
     for d in range(4):
-        crowd = (occ_flat[tables.ray_idx[d, cells_flat]] * tables.ray_w[d, cells_flat]).sum(axis=1)
-        dens = np.clip(crowd / tables.ray_div[d, cells_flat], 0.0, 1.0)
-        weights[:, d] = np.exp(tables.static_expo[d, cells_flat] - k_p * dens)
+        crowd = (occ_flat[full["ray_idx"][d, cells_flat]] * full["ray_w"][d, cells_flat]).sum(axis=1)
+        dens = np.clip(crowd / full["ray_div"][d, cells_flat], 0.0, 1.0)
+        weights[:, d] = np.exp(full["static_expo"][d, cells_flat] - k_p * dens)
     norm = weights.sum(axis=1)
     norm_zero = norm == 0.0
     p = np.zeros_like(weights)

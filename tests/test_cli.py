@@ -2,11 +2,14 @@ import csv
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import scenario_text
+from conftest import SCENARIO_DIR, scenario_text
 from evacsim.cli import main
 
 ROOM = """
@@ -232,6 +235,25 @@ def test_workers_do_not_change_bytes(corridor_file, tmp_path):
     assert main(argv + ["--out", str(serial), "--workers", "1"]) == 0
     assert main(argv + ["--out", str(parallel), "--workers", "2"]) == 0
     assert tree_bytes(serial) == tree_bytes(parallel)
+
+
+@pytest.mark.filterwarnings("ignore:k_P .* are normally")
+@settings(max_examples=10, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3, unique=True),
+    k_p=st.lists(st.integers(0, 60), min_size=2, max_size=2, unique=True),
+)
+def test_workers_do_not_change_bytes_property(seeds, k_p):
+    # any seed list and swept k_P pair on corridor30: one worker and two
+    # workers write the same tree, byte for byte
+    argv = ["sweep", "--scenario", str(SCENARIO_DIR / "corridor30.txt"),
+            "--sweep", "k_P=" + ",".join(str(v / 2) for v in k_p),
+            "--seeds", ",".join(map(str, seeds))]
+    with tempfile.TemporaryDirectory() as tmp:
+        serial, parallel = Path(tmp) / "w1", Path(tmp) / "w2"
+        assert main(argv + ["--out", str(serial), "--workers", "1"]) == 0
+        assert main(argv + ["--out", str(parallel), "--workers", "2"]) == 0
+        assert tree_bytes(serial) == tree_bytes(parallel)
 
 
 def test_dump_sff_matches_direct_computation(room_file, tmp_path):

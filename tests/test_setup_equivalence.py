@@ -1,9 +1,10 @@
 """The scenario set-up against the implementations it replaced.
 
 compute_sff (flat-index Dijkstra) must reproduce sff_heapq_oracle, and
-TransitionTables (shifted-slice, in-place build) must reproduce
-tables_oracle, byte for byte with equal dtypes and shapes: every array a
-run reads is built here, so equal bytes mean equal runs.
+TransitionTables (shifted-slice, in-place build of per-r* rows) must,
+once its rows are expanded to per-cell rays by expand_tables, reproduce
+tables_oracle byte for byte with equal dtypes and shapes: every array a run
+reads is built here, so equal bytes mean equal runs.
 """
 
 import warnings
@@ -17,9 +18,10 @@ from conftest import SCENARIO_DIR, make_scenario, random_grid
 from evacsim.floorfield import StaticField, compute_sff
 from evacsim.scenario import Grid, ModelParams, parse_scenario
 from evacsim.transition import TransitionTables
-from oracles import sff_heapq_oracle, tables_oracle
+from oracles import expand_tables, sff_heapq_oracle, tables_oracle
 
 TABLE_ARRAYS = ("static_expo", "ray_idx", "ray_w", "ray_div")
+COMPACT_ARRAYS = ("static_expo", "nbr", "row_key", "off_rows", "w_rows", "div_rows")
 
 # hand-built rooms: pockets no exit reaches, 1-wide corridors, corner seals
 MAPS = {
@@ -146,11 +148,14 @@ def test_sff_matches_heapq_oracle_property(grid):
 
 def check_tables(field, grid, params):
     tables = TransitionTables(field, grid, params)
-    arrays = {k: v for k, v in vars(tables).items() if isinstance(v, np.ndarray)}
-    assert sorted(arrays) == sorted(TABLE_ARRAYS)
+    arrays = {k for k, v in vars(tables).items() if isinstance(v, np.ndarray)}
+    assert sorted(arrays) == sorted(COMPACT_ARRAYS)
+    got = expand_tables(tables)
     want = tables_oracle(field, grid, params)
     for name in TABLE_ARRAYS:
-        assert_same_bytes(arrays[name], want[name])
+        assert_same_bytes(got[name], want[name])
+    # the neighbour table is the first ray cell, blocked or not
+    assert_same_bytes(tables.nbr, np.ascontiguousarray(want["ray_idx"][:, :, 0]))
 
 
 def params_for(rng, r):
@@ -192,3 +197,19 @@ def test_tables_match_oracle_on_shifted_field(r):
     rng = np.random.default_rng(9)
     for field in (values + 1000.0, np.where(np.isinf(values), 3.0, values)):
         check_tables(StaticField(values=field), grid, params_for(rng, r))
+
+
+def retained_bytes(tables):
+    # what perfbench's transition.tables_mb counts: every ndarray attribute
+    return sum(v.nbytes for v in vars(tables).values() if isinstance(v, np.ndarray))
+
+
+def test_tables_memory_is_bounded_in_r():
+    # the rays are rows per sight-line length r*, not per cell: r = 1 to 17
+    # adds a few KiB on any room, and each cell costs a fixed few int64s
+    grid = open_grid(120, 120, [(60, 119)])
+    field = compute_sff(grid)
+    rng = np.random.default_rng(3)
+    size = {r: retained_bytes(TransitionTables(field, grid, params_for(rng, r))) for r in (1, 10, 17)}
+    assert size[17] - size[1] <= 64 * 1024
+    assert size[10] < 160 * grid.height * grid.width
