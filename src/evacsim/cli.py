@@ -15,6 +15,7 @@ import csv
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from statistics import mean
 
@@ -26,7 +27,7 @@ from .scenario import (
     PARAM_KEYS,
     Scenario,
     ScenarioError,
-    _parse_param_value,
+    parse_param,
     parse_scenario,
     validate,
 )
@@ -34,20 +35,6 @@ from .scenario import (
 # default snapshot set; matches the standard six panels used for the big
 # 300-person room so figures line up without extra flags
 DEFAULT_SNAPSHOT_STEPS = (25, 65, 135, 165, 180, 225)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs besides the sweep grid."""
-
-    scenario_path: str
-    out_dir: str
-    seeds: list[int] | None
-    snapshot_steps: tuple[int, ...]
-    overrides: dict  # ModelParams attribute -> parsed --set value
-    workers: int = 1
-    dump_sff: bool = False
-    dump_distributions: int | None = None
 
 
 @dataclass(frozen=True)
@@ -87,26 +74,31 @@ def _run_entry(task: RunTask):
     return scenario.params.seed, result.evac_time, spread_at
 
 
-def _parse_int_list(raw: str, flag: str) -> list[int]:
-    try:
-        items = [int(part, 10) for part in raw.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ScenarioError(f"{flag} expects a comma-separated integer list, got {raw!r}") from None
+def _parse_list(raw: str, flag: str, parse) -> list:
+    """A comma-separated flag value, each non-empty entry through parse.
+
+    An empty list is a usage error, and so is an entry given twice: it
+    would run twice into one output directory or repeat a column of the
+    per-seed table."""
+    items = [parse(part.strip()) for part in raw.split(",") if part.strip() != ""]
     if not items:
         raise ScenarioError(f"{flag} list is empty")
-    if min(items) < 0:
-        raise ScenarioError(f"{flag} entries must be >= 0, got {min(items)}")
-    return items
-
-
-def _check_unique(items: list, flag: str) -> None:
-    """Two equal entries would run twice into one output directory or
-    repeat a column of the per-seed table."""
     seen = set()
     for item in items:
         if item in seen:
             raise ScenarioError(f"{flag} lists {item!r} more than once")
         seen.add(item)
+    return items
+
+
+def _parse_step(raw: str) -> int:
+    try:
+        step = int(raw, 10)
+    except ValueError:
+        raise ScenarioError(f"--snapshot-steps entries must be integers, got {raw!r}") from None
+    if step < 0:
+        raise ScenarioError(f"--snapshot-steps entries must be >= 0, got {step}")
+    return step
 
 
 def _parse_set_flags(pairs: list[str]) -> dict:
@@ -117,7 +109,7 @@ def _parse_set_flags(pairs: list[str]) -> dict:
         key = key.strip()
         if not eq or key not in PARAM_KEYS:
             raise ScenarioError(f"--set expects key=value with a known key, got {pair!r}")
-        out[PARAM_ATTRS[key]] = _parse_param_value(key, raw.strip(), 0)
+        out[PARAM_ATTRS[key]] = parse_param(key, raw.strip())
     return out
 
 
@@ -143,71 +135,70 @@ def _aggregate_row(label_cells: list, rows: list[tuple], snapshot_steps: tuple[i
     return cells
 
 
-def _prepare(config: RunConfig):
-    """Parse, apply --set, validate; returns (scenario, seeds, field) or all None."""
-    scenario = parse_scenario(Path(config.scenario_path).read_text(encoding="ascii"))
-    scenario = replace(scenario, params=replace(scenario.params, **config.overrides))
-    field = compute_sff(scenario.grid)
-    problems = validate(scenario, field)
-    if problems:
-        for p in problems:
-            print(f"invalid scenario: {p}", file=sys.stderr)
-        return None, None, None
-    seeds = config.seeds if config.seeds is not None else [scenario.params.seed]
-    for s in seeds:
-        if not (0 <= s < 2**64):
-            raise ScenarioError(f"seed must fit in 64 bits, got {s}")
-    return scenario, seeds, field
-
-
-def _command(config: RunConfig, sweep: str | None) -> int:
+def _command(args) -> int:
     """Run every (sweep value, seed) task, then write the per-seed table.
 
     Without a sweep (`run`) there is one group of tasks and the table is
     batch.csv, written only for more than one seed; with `--sweep KEY=V1,...`
     each value is a group, its pair the last override, and the table is
-    aggregate.csv.  Each group's rows end with its _aggregate_row.
+    aggregate.csv.  Each group's rows end with its _aggregate_row.  Every
+    flag is checked before the scenario file is read.
     """
+    if args.snapshot_steps is None:
+        snapshot_steps = DEFAULT_SNAPSHOT_STEPS
+    elif args.snapshot_steps.strip().lower() in ("", "none"):
+        snapshot_steps = ()
+    else:
+        snapshot_steps = tuple(_parse_list(args.snapshot_steps, "--snapshot-steps", _parse_step))
+    seeds = None
+    if args.seeds is not None:
+        seeds = _parse_list(args.seeds, "--seeds", partial(parse_param, "seed"))
+    if args.dump_distributions is not None and args.dump_distributions < 0:
+        raise ScenarioError(f"--dump-distributions must be >= 0, got {args.dump_distributions}")
+    overrides = _parse_set_flags(args.set or [])
     groups = [([], {}, "")]  # (table label cells, swept override, directory prefix)
-    if sweep is not None:
-        param, _, raw_values = sweep.partition("=")
+    if args.sweep is not None:
+        param, _, raw_values = args.sweep.partition("=")
         param = param.strip()
-        values = [v.strip() for v in raw_values.split(",") if v.strip() != ""]
         if param not in PARAM_KEYS:
             raise ScenarioError(f"--sweep key must be one of {', '.join(PARAM_KEYS)}, got {param!r}")
         if param == "seed":
             raise ScenarioError("cannot sweep seed; use --seeds")
-        if not values:
-            raise ScenarioError("--sweep value list is empty")
-        _check_unique(values, "--sweep")
-        groups = [([param, v], {PARAM_ATTRS[param]: _parse_param_value(param, v, 0)}, f"p{v}_")
-                  for v in values]
+        groups = [([param, v], {PARAM_ATTRS[param]: parse_param(param, v)}, f"p{v}_")
+                  for v in _parse_list(raw_values, "--sweep", str)]
 
-    scenario, seeds, field = _prepare(config)
-    if scenario is None:
+    # latin-1 decodes any byte, so a non-ASCII file meets parse_scenario's rule
+    scenario = parse_scenario(Path(args.scenario).read_text(encoding="latin-1"))
+    scenario = replace(scenario, params=replace(scenario.params, **overrides))
+    field = compute_sff(scenario.grid)
+    problems = validate(scenario, field)
+    if problems:
+        for p in problems:
+            print(f"invalid scenario: {p}", file=sys.stderr)
         return 3
-    out = Path(config.out_dir)
+    seeds = seeds or [scenario.params.seed]
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tasks = [
         RunTask(
             scenario=replace(scenario, params=replace(scenario.params, **swept, seed=seed)),
             out_dir=str(out / f"{prefix}s{seed}"),
-            snapshot_steps=config.snapshot_steps,
-            capture_step=config.dump_distributions,
+            snapshot_steps=snapshot_steps,
+            capture_step=args.dump_distributions,
         )
         for _, swept, prefix in groups
         for seed in seeds
     ]
-    rows = _execute(tasks, config.workers)
-    if config.dump_sff:
+    rows = _execute(tasks, args.workers)
+    if args.dump_sff:
         with open(out / "sff.csv", "w", newline="") as f:
             export_field_csv(field.values, f)
-    if sweep is None and len(seeds) == 1:
+    if args.sweep is None and len(seeds) == 1:
         return 0
-    with open(out / ("batch.csv" if sweep is None else "aggregate.csv"), "w", newline="") as f:
+    with open(out / ("batch.csv" if args.sweep is None else "aggregate.csv"), "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow([*(["param", "value"] if sweep is not None else []), "seed", "evac_time",
-                    "complete", *(f"spread_t{t}" for t in config.snapshot_steps)])
+        w.writerow([*(["param", "value"] if args.sweep is not None else []), "seed", "evac_time",
+                    "complete", *(f"spread_t{t}" for t in snapshot_steps)])
         # tasks run group by group, and --seeds has no duplicates, so each
         # group's rows are the next n results
         n = len(seeds)
@@ -217,9 +208,9 @@ def _command(config: RunConfig, sweep: str | None) -> int:
                 cells = [*label, seed, evac_time if evac_time is not None else "",
                          int(evac_time is not None)]
                 cells += [repr(spread_at[t]) if t in spread_at else ""
-                          for t in config.snapshot_steps]
+                          for t in snapshot_steps]
                 w.writerow(cells)
-            w.writerow(_aggregate_row(label, group_rows, config.snapshot_steps))
+            w.writerow(_aggregate_row(label, group_rows, snapshot_steps))
     return 0
 
 
@@ -247,36 +238,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one scenario over one or more seeds")
     common(p_run)
+    p_run.set_defaults(sweep=None)
     p_sweep = sub.add_parser("sweep", help="run a cartesian sweep of one parameter over seeds")
     common(p_sweep)
     p_sweep.add_argument("--sweep", required=True, metavar="KEY=V1,V2,...",
                          help="parameter values to sweep")
     return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    if args.snapshot_steps is None:
-        snaps = DEFAULT_SNAPSHOT_STEPS
-    elif args.snapshot_steps.strip().lower() in ("", "none"):
-        snaps = ()
-    else:
-        snaps = tuple(_parse_int_list(args.snapshot_steps, "--snapshot-steps"))
-        _check_unique(snaps, "--snapshot-steps")
-    seeds = _parse_int_list(args.seeds, "--seeds") if args.seeds else None
-    if seeds is not None:
-        _check_unique(seeds, "--seeds")
-    if args.dump_distributions is not None and args.dump_distributions < 0:
-        raise ScenarioError(f"--dump-distributions must be >= 0, got {args.dump_distributions}")
-    return RunConfig(
-        scenario_path=args.scenario,
-        out_dir=args.out,
-        seeds=seeds,
-        snapshot_steps=snaps,
-        overrides=_parse_set_flags(args.set or []),
-        workers=args.workers,
-        dump_sff=args.dump_sff,
-        dump_distributions=args.dump_distributions,
-    )
 
 
 def main(argv=None) -> int:
@@ -285,8 +252,7 @@ def main(argv=None) -> int:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
     try:
-        config = _config_from_args(args)
-        return _command(config, args.sweep if args.command == "sweep" else None)
+        return _command(args)
     except ScenarioError as e:
         print(f"scenario error: {e}", file=sys.stderr)
         return 2

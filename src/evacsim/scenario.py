@@ -60,6 +60,19 @@ PARAM_ATTRS = {
 }
 PARAM_KEYS = tuple(PARAM_ATTRS)
 
+# ModelParams attribute -> (type of the parsed value, range test, the range
+# in words); the one statement of each parameter's rule
+_WEIGHT = (float, lambda v: math.isfinite(v) and v >= 0.0, "a finite real >= 0")
+PARAM_RANGES = {
+    "k_s": _WEIGHT,
+    "k_p": _WEIGHT,
+    "k_w": _WEIGHT,
+    "r": (int, lambda v: v >= 1, "an integer >= 1"),
+    "mu": (float, lambda v: 0.0 <= v <= 1.0, "a real in [0, 1]"),
+    "seed": (int, lambda v: 0 <= v < 2**64, "an integer in [0, 2^64)"),
+    "max_steps": (int, lambda v: v >= 1, "an integer >= 1"),
+}
+
 Cell = tuple[int, int]
 
 
@@ -145,18 +158,8 @@ class ModelParams:
     max_steps: int
 
     def __post_init__(self):
-        for name in ("k_s", "k_p", "k_w"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be a finite nonnegative real, got {v!r}")
-        if self.r < 1:
-            raise ValueError(f"r must be >= 1, got {self.r}")
-        if not (0.0 <= self.mu <= 1.0):
-            raise ValueError(f"mu must be in [0, 1], got {self.mu}")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        for attr in PARAM_RANGES:
+            check_param(attr, getattr(self, attr))
         # sensitivity to people and walls below the distance sensitivity is
         # legal but usually a sign of a mistyped parameter set
         if self.k_p < self.k_s or self.k_w < self.k_s:
@@ -175,32 +178,24 @@ class Scenario:
     params: ModelParams
 
 
-def _parse_param_value(key: str, raw: str, line_no: int):
-    def err(msg):
-        return ScenarioError(f"{key}: {msg}", line=line_no)
+def check_param(attr: str, value) -> None:
+    """Raise ValueError unless value lies in ModelParams.<attr>'s range."""
+    _, in_range, words = PARAM_RANGES[attr]
+    if not in_range(value):
+        raise ValueError(f"{attr} must be {words}, got {value!r}")
 
-    if key in ("k_S", "k_P", "k_W", "mu"):
-        try:
-            v = float(raw)
-        except ValueError:
-            raise err(f"not a real number: {raw!r}") from None
-        if not math.isfinite(v):
-            raise err(f"must be finite, got {raw!r}")
-        if v < 0.0:
-            raise err(f"must be nonnegative, got {raw!r}")
-        if key == "mu" and v > 1.0:
-            raise err(f"must be in [0, 1], got {raw!r}")
-        return v
-    # r, seed, max_steps
+
+def parse_param(key: str, raw: str, line: int | None = None):
+    """Convert the text of parameter key (a file key, e.g. "k_S") and check
+    its range; ScenarioError names the key, the text and, given, its line."""
+    attr = PARAM_ATTRS[key]
+    kind, _, words = PARAM_RANGES[attr]
     try:
-        v = int(raw, 10)
+        value = kind(raw)
+        check_param(attr, value)
     except ValueError:
-        raise err(f"not an integer: {raw!r}") from None
-    if key in ("r", "max_steps") and v < 1:
-        raise err(f"must be >= 1, got {v}")
-    if key == "seed" and not (0 <= v < 2**64):
-        raise err(f"must fit in 64 bits, got {v}")
-    return v
+        raise ScenarioError(f"{key}: must be {words}, got {raw!r}", line=line) from None
+    return value
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -228,7 +223,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"unknown parameter key {key!r}", line=line_no)
         if key in raw_params:
             raise ScenarioError(f"duplicate parameter key {key!r}", line=line_no)
-        raw_params[key] = _parse_param_value(key, raw, line_no)
+        raw_params[key] = parse_param(key, raw, line_no)
         n += 1
     missing = [k for k in PARAM_KEYS if k not in raw_params]
     if missing:
@@ -238,7 +233,6 @@ def parse_scenario(text: str) -> Scenario:
     # lines are tolerated, interior ones are not
     n += 1
     rows: list[str] = []
-    first_map_line = None
     blank_since = None
     for k in range(n, len(lines)):
         line = lines[k]
@@ -249,38 +243,29 @@ def parse_scenario(text: str) -> Scenario:
         if blank_since is not None and rows:
             raise ScenarioError("blank line inside map", line=blank_since)
         blank_since = None
-        if first_map_line is None:
-            first_map_line = k + 1
         rows.append(line)
         width = len(rows[0])
         if len(line) != width:
             raise ScenarioError(
                 f"ragged map row: {len(line)} glyphs, expected {width}", line=k + 1
             )
-        for col, ch in enumerate(line):
-            if ch not in _GLYPHS:
-                raise ScenarioError(
-                    f"invalid map character {ch!r}", line=k + 1, column=col + 1
-                )
+        if not _GLYPHS.issuperset(line):
+            col = next(c for c, ch in enumerate(line) if ch not in _GLYPHS)
+            raise ScenarioError(
+                f"invalid map character {line[col]!r}", line=k + 1, column=col + 1
+            )
     if not rows:
         raise ScenarioError("missing map section")
 
     height, width = len(rows), len(rows[0])
-    walls = np.zeros((height, width), dtype=np.uint8)
-    exits: set[Cell] = set()
-    agents: list[Cell] = []
-    for i, row in enumerate(rows):
-        for j, ch in enumerate(row):
-            if ch == WALL_GLYPH:
-                walls[i, j] = 1
-            elif ch == EXIT_GLYPH:
-                exits.add((i, j))
-            elif ch == AGENT_GLYPH:
-                agents.append((i, j))
+    glyphs = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8).reshape(height, width)
+    walls = (glyphs == ord(WALL_GLYPH)).astype(np.uint8)
+    exits = frozenset(map(tuple, np.argwhere(glyphs == ord(EXIT_GLYPH)).tolist()))
+    agents = tuple(map(tuple, np.argwhere(glyphs == ord(AGENT_GLYPH)).tolist()))
 
-    grid = Grid(height=height, width=width, walls=walls, exits=frozenset(exits))
+    grid = Grid(height=height, width=width, walls=walls, exits=exits)
     params = ModelParams(**{PARAM_ATTRS[key]: value for key, value in raw_params.items()})
-    return Scenario(grid=grid, initial_agents=tuple(agents), params=params)
+    return Scenario(grid=grid, initial_agents=agents, params=params)
 
 
 def validate(scenario: Scenario, field: StaticField) -> list[str]:

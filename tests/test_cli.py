@@ -138,13 +138,16 @@ def test_set_override_changes_behavior(room_file, tmp_path):
         ["--sweep", "mu=1.5"],             # out of range
         ["--sweep", "k_P=6,18,6"],         # a value twice
         ["--sweep", "k_P=6", "--seeds", "1,2,01"],  # a seed twice
+        ["--sweep", "k_P=6", "--seeds", ""],        # empty seed list
     ],
 )
 def test_sweep_usage_errors_exit_2(corridor_file, tmp_path, capsys, argv_tail):
     rc = main(["sweep", "--scenario", str(corridor_file),
                "--out", str(tmp_path / "o"), *argv_tail])
     assert rc == 2
-    assert "scenario error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error:")
+    assert "(line" not in err  # flags have no line to point at
     assert not (tmp_path / "o").exists()
 
 
@@ -176,9 +179,18 @@ def test_bad_set_flag_exit_2(room_file, tmp_path, capsys):
     rc = main(["run", "--scenario", str(room_file), "--out", str(tmp_path / "o"),
                "--set", "k_S"])
     assert rc == 2
+    assert capsys.readouterr().err == (
+        "scenario error: --set expects key=value with a known key, got 'k_S'\n")
     rc = main(["run", "--scenario", str(room_file), "--out", str(tmp_path / "o"),
                "--set", "mu=-1"])
     assert rc == 2
+    assert capsys.readouterr().err == "scenario error: mu: must be a real in [0, 1], got '-1'\n"
+    # a swept value is checked by the same rule, with the same message
+    rc = main(["sweep", "--scenario", str(room_file), "--out", str(tmp_path / "o"),
+               "--sweep", "k_S=1,-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "scenario error: k_S: must be a finite real >= 0, got '-1'\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_parse_error_exit_2(tmp_path, capsys):
@@ -187,6 +199,14 @@ def test_parse_error_exit_2(tmp_path, capsys):
     rc = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "scenario error:" in capsys.readouterr().err
+
+
+def test_non_ascii_scenario_exit_2(room_file, tmp_path, capsys):
+    room_file.write_bytes(room_file.read_bytes().replace(b"k_S", "k_é".encode()))
+    rc = main(["run", "--scenario", str(room_file), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "ASCII" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_workers_zero_exit_2(room_file, tmp_path, capsys):

@@ -4,7 +4,8 @@ A definition in src/evacsim/ must be referenced outside its own body,
 somewhere in src/ or perfbench/, or be exported in evacsim.__all__.
 Reference code that only tests call belongs in tests/oracles.py.  The
 package holds no assert statements: python -O strips them, so its
-invariants raise real errors.
+invariants raise real errors.  No module imports another's _-prefixed
+(private) name; a rule two modules need is public in one of them.
 """
 
 import ast
@@ -47,5 +48,17 @@ def test_no_assert_statements_in_src():
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_private_imports_across_src_modules():
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
     ]
     assert found == []

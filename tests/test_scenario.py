@@ -1,11 +1,18 @@
+import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_scenario, scenario_text
+from evacsim.cli import main
 from evacsim.floorfield import compute_sff
 from evacsim.scenario import (
+    PARAM_ATTRS,
+    PARAM_RANGES,
     Grid,
     ModelParams,
     Scenario,
@@ -14,6 +21,7 @@ from evacsim.scenario import (
     validate,
 )
 from oracles import serialize_scenario
+from test_setup_equivalence import grids
 
 ROOM = """
     ######
@@ -88,9 +96,30 @@ def test_parse_missing_keys_listed():
         ("max_steps", "0"),
     ],
 )
-def test_parse_out_of_range_values(key, value):
-    with pytest.raises(ScenarioError):
+def test_parse_out_of_range_values(key, value, tmp_path, capsys):
+    # the scenario file, --set and ModelParams all reject the value, and
+    # the two text paths with the same message
+    attr = PARAM_ATTRS[key]
+    kind, _, words = PARAM_RANGES[attr]
+    message = f"{key}: must be {words}, got {value!r}"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)} \\(line \\d+\\)$"):
         make_scenario(ROOM, **{key: value})
+
+    room = tmp_path / "room.txt"
+    room.write_text(scenario_text(ROOM))
+    rc = main(["run", "--scenario", str(room), "--out", str(tmp_path / "o"),
+               "--set", f"{key}={value}"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+    try:
+        typed = kind(value)
+    except ValueError:
+        return  # no value of the field's type ("abc", "2.5" for an int)
+    base = dict(k_s=4.0, k_p=6.0, k_w=4.0, r=10, mu=0.0, seed=1, max_steps=10)
+    with pytest.raises(ValueError, match=f"^{attr} must be {re.escape(words)}, got "):
+        ModelParams(**{**base, attr: typed})
 
 
 def test_parse_ragged_map():
@@ -125,6 +154,32 @@ def test_round_trip_identity():
     assert again.params == sc.params
     # serialization is also a fixpoint
     assert serialize_scenario(again) == serialize_scenario(sc)
+
+
+@st.composite
+def scenarios(draw):
+    grid = draw(grids())
+    free = [tuple(int(x) for x in c) for c in np.argwhere((grid.walls == 0) & ~grid.exit_mask)]
+    agents = draw(st.lists(st.sampled_from(free), unique=True)) if free else []
+    weight = st.floats(0.0, 100.0)
+    params = ModelParams(
+        k_s=draw(weight), k_p=draw(weight), k_w=draw(weight),
+        r=draw(st.integers(1, 40)), mu=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**64 - 1)), max_steps=draw(st.integers(1, 10**6)),
+    )
+    return Scenario(grid=grid, initial_agents=tuple(sorted(agents)), params=params)
+
+
+@pytest.mark.filterwarnings("ignore:k_P .* are normally")
+@settings(max_examples=150, deadline=None)
+@given(scenarios())
+def test_round_trip_random_rooms(sc):
+    again = parse_scenario(serialize_scenario(sc))
+    assert again.grid == sc.grid
+    assert again.grid.walls.dtype == np.uint8
+    assert again.initial_agents == sc.initial_agents
+    assert all(type(x) is int for cell in again.initial_agents for x in cell)
+    assert again.params == sc.params
 
 
 def test_validate_clean_scenario():
