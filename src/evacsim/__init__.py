@@ -12,7 +12,7 @@ The package is organised bottom-up:
 """
 
 from .scenario import Grid, ModelParams, Scenario, ScenarioError, parse_scenario
-from .floorfield import StaticField, compute_sff
+from .floorfield import compute_sff
 from .engine import SimulationState, initial_state, run, step
 from .metrics import SimulationResult
 
@@ -22,7 +22,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "parse_scenario",
-    "StaticField",
     "compute_sff",
     "SimulationState",
     "initial_state",

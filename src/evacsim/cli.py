@@ -192,7 +192,7 @@ def _command(args) -> int:
     rows = _execute(tasks, args.workers)
     if args.dump_sff:
         with open(out / "sff.csv", "w", newline="") as f:
-            export_field_csv(field.values, f)
+            export_field_csv(field, f)
     if args.sweep is None and len(seeds) == 1:
         return 0
     with open(out / ("batch.csv" if args.sweep is None else "aggregate.csv"), "w", newline="") as f:

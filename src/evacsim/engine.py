@@ -86,15 +86,15 @@ def step(
 ) -> SimulationState:
     """Advance one step; returns the new state (occupancy copied, rng shared).
 
-    tables are the scenario's TransitionTables for these params.  Agents
-    already standing on an exit (possible only by initial placement)
-    propose to stay and are removed at the end of the step like everyone
-    else who reaches a door.
+    tables are the grid's TransitionTables for params' (k_S, k_W, r).
+    Agents already standing on an exit (possible only by initial
+    placement) propose to stay and are removed at the end of the step like
+    everyone else who reaches a door.
     """
     occ = state.occupancy
     cells = state.cells
     rng = state.rng
-    p, norm_zero = tables.distributions(occ, cells)
+    p, norm_zero = tables.distributions(occ, cells, params.k_p)
     # per agent and direction: the neighbour cell if it is free in the
     # snapshot, else -1.  Blocked directions hold the agent's own (occupied)
     # cell in tables.nbr and have p = 0, so they are never drawn.
@@ -201,26 +201,24 @@ def run(
     axis = exit_axis(grid)
     wanted = set(snapshot_steps)
 
-    curve = [(0, state.cells.size)]
+    curve: list[tuple[int, int]] = []
     snapshots: list[tuple[int, np.ndarray]] = []
     spread: list[SpreadSample] = []
     captured: list[tuple[int, Cell, np.ndarray, bool]] = []
-    if 0 in wanted:
-        snapshots.append((0, state.occupancy.copy()))
-    if axis is not None and state.cells.size:
-        spread.append(SpreadSample(0, spread_metric(state, axis)))
-
-    while state.cells.size and state.step < params.max_steps:
-        if capture_step is not None and state.step == capture_step:
-            p_rows, norm_zero = tables.distributions(state.occupancy, state.cells)
-            for k, (aid, cell) in enumerate(state.agents):
-                captured.append((aid, cell, p_rows[k].copy(), bool(norm_zero[k])))
-        state = step(state, grid, params, tables)
+    while True:
+        # every state the run reaches, step 0 included, is recorded here
         curve.append((state.step, state.cells.size))
         if state.step in wanted:
             snapshots.append((state.step, state.occupancy.copy()))
         if axis is not None and state.cells.size:
             spread.append(SpreadSample(state.step, spread_metric(state, axis)))
+        if not state.cells.size or state.step >= params.max_steps:
+            break
+        if state.step == capture_step:
+            p_rows, norm_zero = tables.distributions(state.occupancy, state.cells, params.k_p)
+            for k, (aid, cell) in enumerate(state.agents):
+                captured.append((aid, cell, p_rows[k].copy(), bool(norm_zero[k])))
+        state = step(state, grid, params, tables)
 
     evac_time = state.step if not state.cells.size else None
     if evac_time is not None:

@@ -15,7 +15,6 @@ exactly like (distance, row, column).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -25,19 +24,9 @@ from .scenario import Grid
 SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True, eq=False)
-class StaticField:
-    """Distance-to-nearest-exit per cell.
-
-    values is float64 (height, width): 0 on exits, +inf on walls and on
-    cells with no path to any exit.
-    """
-
-    values: np.ndarray
-
-
-def compute_sff(grid: Grid) -> StaticField:
-    """Multi-source Dijkstra from all exit cells at once."""
+def compute_sff(grid: Grid) -> np.ndarray:
+    """Distance to the nearest exit per cell, float64 (height, width): 0 on
+    exits, +inf on walls and on cells with no path to any exit."""
     pw = grid.width + 2
     padded = np.ones((grid.height + 2, pw), dtype=bool)
     padded[1:-1, 1:-1] = grid.walls != 0
@@ -69,4 +58,4 @@ def compute_sff(grid: Grid) -> StaticField:
             if nd < dist[n] and not (blocked[n] or blocked[k + a] or blocked[k + b]):
                 dist[n] = nd
                 heappush(heap, (nd, n))
-    return StaticField(values=np.array(dist).reshape(-1, pw)[1:-1, 1:-1].copy())
+    return np.array(dist).reshape(-1, pw)[1:-1, 1:-1].copy()

@@ -23,6 +23,12 @@ PGM_AGENT = 64
 PGM_EXIT = 128
 PGM_FLOOR = 255
 
+# snapshot cell kinds, each later kind winning over the earlier ones:
+# floor, wall, exit, agent; their glyph and their PGM gray by kind code
+_KIND_GLYPHS = np.array([ord(c) for c in FLOOR_GLYPH + WALL_GLYPH + EXIT_GLYPH + AGENT_GLYPH],
+                        dtype=np.uint8)
+_KIND_GRAYS = np.array([PGM_FLOOR, PGM_WALL, PGM_EXIT, PGM_AGENT], dtype=np.uint8)
+
 
 @dataclass(frozen=True)
 class ExitAxis:
@@ -104,28 +110,14 @@ def render_snapshot(occupancy: np.ndarray, grid: Grid) -> tuple[str, bytes]:
     as a pedestrian.  The PGM is P5, maxval 255: wall 0, agent 64, exit
     128, floor 255.
     """
-    exit_mask = grid.exit_mask
-    lines = []
-    for i in range(grid.height):
-        row = []
-        for j in range(grid.width):
-            if occupancy[i, j]:
-                row.append(AGENT_GLYPH)
-            elif exit_mask[i, j]:
-                row.append(EXIT_GLYPH)
-            elif grid.walls[i, j]:
-                row.append(WALL_GLYPH)
-            else:
-                row.append(FLOOR_GLYPH)
-        lines.append("".join(row))
-    text = "\n".join(lines) + "\n"
-
-    gray = np.full((grid.height, grid.width), PGM_FLOOR, dtype=np.uint8)
-    gray[grid.walls != 0] = PGM_WALL
-    gray[exit_mask] = PGM_EXIT
-    gray[occupancy != 0] = PGM_AGENT
+    kind = np.zeros((grid.height, grid.width), dtype=np.intp)
+    kind[grid.walls != 0] = 1
+    kind[grid.exit_mask] = 2
+    kind[occupancy != 0] = 3
+    lines = np.full((grid.height, grid.width + 1), ord("\n"), dtype=np.uint8)
+    lines[:, :-1] = _KIND_GLYPHS[kind]
     header = f"P5\n{grid.width} {grid.height}\n255\n".encode("ascii")
-    return text, header + gray.tobytes()
+    return lines.tobytes().decode("ascii"), header + _KIND_GRAYS[kind].tobytes()
 
 
 def export_csv(result: SimulationResult, stream: IO[str]) -> None:
@@ -139,15 +131,11 @@ def export_csv(result: SimulationResult, stream: IO[str]) -> None:
             raise ValueError("evacuation curve must be non-increasing")
     writer = csv.writer(stream, lineterminator="\n")
     by_step = {s.step: s.value for s in result.spread}
-    if by_step:
-        writer.writerow(["step", "remaining", "spread"])
-        for step, remaining in result.curve:
-            v = by_step.get(step)
-            writer.writerow([step, remaining, repr(v) if v is not None else ""])
-    else:
-        writer.writerow(["step", "remaining"])
-        for step, remaining in result.curve:
-            writer.writerow([step, remaining])
+    cols = 3 if by_step else 2
+    writer.writerow(["step", "remaining", "spread"][:cols])
+    for step, remaining in result.curve:
+        v = by_step.get(step)
+        writer.writerow([step, remaining, repr(v) if v is not None else ""][:cols])
 
 
 def export_field_csv(values: np.ndarray, stream: IO[str]) -> None:

@@ -27,15 +27,12 @@ inspected.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .floorfield import StaticField
 
 WALL_GLYPH = "#"
 FLOOR_GLYPH = "."
@@ -84,7 +81,6 @@ class ScenarioError(ValueError):
     """
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        self.message = message
         self.line = line
         self.column = column
         where = ""
@@ -179,9 +175,10 @@ class Scenario:
 
 
 def check_param(attr: str, value) -> None:
-    """Raise ValueError unless value lies in ModelParams.<attr>'s range."""
-    _, in_range, words = PARAM_RANGES[attr]
-    if not in_range(value):
+    """Raise ValueError unless value has ModelParams.<attr>'s type and range."""
+    kind, in_range, words = PARAM_RANGES[attr]
+    abc = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, abc) or not in_range(value):
         raise ValueError(f"{attr} must be {words}, got {value!r}")
 
 
@@ -268,14 +265,13 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(grid=grid, initial_agents=agents, params=params)
 
 
-def validate(scenario: Scenario, field: StaticField) -> list[str]:
+def validate(scenario: Scenario, field: np.ndarray) -> list[str]:
     """Check scenario invariants against the grid's static field; return violations.
 
     Reported violations, one string each: missing exits, non-wall border
     cells that are not exits, agents out of bounds / on walls / duplicated,
     and agents with no path to an exit.
     """
-    values = field.values
     grid = scenario.grid
     problems: list[str] = []
 
@@ -297,6 +293,6 @@ def validate(scenario: Scenario, field: StaticField) -> list[str]:
         seen.add(cell)
         if grid.walls[cell]:
             problems.append(f"agent on wall at {cell}")
-        elif not np.isfinite(values[cell]):
+        elif not np.isfinite(field[cell]):
             problems.append(f"unreachable agent at {cell}")
     return problems

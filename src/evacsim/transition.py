@@ -12,11 +12,11 @@ the currently best direction(s); ties are all penalized.  Normalizing by
 the sum gives the distribution; an all-blocked cell has norm 0 and yields
 the flagged zero distribution instead.
 
-TransitionTables precomputes everything static per scenario (field drops,
-sight lines, wall terms, kernel weights per r*) so that a simulation step
-only gathers occupancy along rays and exponentiates.  The same
-rules written one cell and one direction at a time live in the test
-suite's oracles, as the reference these tables are checked against.
+TransitionTables precomputes everything static per grid and (k_S, k_W, r)
+(field drops, sight lines, wall terms, kernel weights per r*) so that a
+step only gathers occupancy along rays and exponentiates with its k_P.
+The same rules written one cell and one direction at a time live in the
+test suite's oracles, as the reference these tables are checked against.
 
 r*_d is the run of free cells ahead before the first wall, capped at the
 sight radius r (people do not block sight), and
@@ -32,7 +32,6 @@ import math
 
 import numpy as np
 
-from .floorfield import StaticField
 from .scenario import DIR_OFFSETS, Grid, ModelParams
 
 SQRT5 = math.sqrt(5.0)
@@ -45,7 +44,7 @@ _KERNEL_SCALE = 4.4742
 
 
 class TransitionTables:
-    """Static per-scenario factors, flattened row-major over the grid.
+    """Static factors per grid and (k_S, k_W, r), flattened row-major.
 
     Per direction d and cell: static_expo (field drop and wall term), nbr
     (cell + offset[d] if that neighbour is free, else the cell itself) and
@@ -56,14 +55,15 @@ class TransitionTables:
     past r*) and div_rows (max(r*, 1)); 96 B per cell for any r.  Past r* a
     ray stays on its own occupied cell, where weight 0.0 gives a +0.0
     product just as per-cell (size, r) rays do, so p has their bits.
+
+    field is compute_sff's array.  Of params only k_s, k_w and r are read.
     """
 
-    def __init__(self, field: StaticField, grid: Grid, params: ModelParams):
-        self.params = params
+    def __init__(self, field: np.ndarray, grid: Grid, params: ModelParams):
         h, w = grid.height, grid.width
         r = params.r
         size = h * w
-        s_flat = field.values.reshape(-1)
+        s_flat = field.reshape(-1)
         free_pad = np.zeros((h + 2 * r, w + 2 * r), dtype=bool)
         free_pad[r:r + h, r:r + w] = grid.walls == 0
 
@@ -112,8 +112,8 @@ class TransitionTables:
         self.w_rows = np.tile(np.where(past, 0.0, phi), (4, 1))
         self.div_rows = np.tile(np.maximum(rs, 1).astype(np.float64), 4)
 
-    def distributions(self, occupancy: np.ndarray, cells_flat: np.ndarray):
-        """Distributions for the given flat cell indices against occupancy.
+    def distributions(self, occupancy: np.ndarray, cells_flat: np.ndarray, k_p: float):
+        """Distributions of the flat cells against occupancy, crowd weight k_p.
 
         Returns (p, norm_zero): p is (n, 4) rows summing to 1 (all-zero where
         norm_zero), norm_zero is (n,) bool.
@@ -131,7 +131,7 @@ class TransitionTables:
         # crowd >= 0 (occupancy and kernel weights are), so of the clamp to
         # [0, 1] only the upper bound can bind
         dens = np.minimum(crowd / self.div_rows.take(key), 1.0)
-        weights = np.exp(self.static_expo.take(cells_flat, axis=1) - self.params.k_p * dens)
+        weights = np.exp(self.static_expo.take(cells_flat, axis=1) - k_p * dens)
         weights = np.ascontiguousarray(weights.T)
         norm = weights.sum(axis=1)
         norm_zero = norm == 0.0

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 from textwrap import dedent
@@ -10,6 +11,7 @@ from evacsim.scenario import Grid, parse_scenario
 sys.path.insert(0, str(Path(__file__).parent))
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 PARAM_DEFAULTS = {
     "k_S": "4.0",
@@ -27,6 +29,16 @@ def scenario_text(map_block: str, **overrides) -> str:
     params = {**PARAM_DEFAULTS, **{k: str(v) for k, v in overrides.items()}}
     head = "\n".join(f"{k} = {params[k]}" for k in PARAM_DEFAULTS)
     return head + "\n\n" + dedent(map_block).strip("\n") + "\n"
+
+
+def src_env() -> dict:
+    """The environment with src/ first on PYTHONPATH, for subprocesses that
+    import evacsim from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
 
 
 def make_scenario(map_block: str, **overrides):

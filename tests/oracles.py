@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from evacsim.engine import SimulationState
-from evacsim.floorfield import StaticField
 from evacsim.scenario import (
     AGENT_GLYPH,
     DIR_OFFSETS,
@@ -137,7 +136,7 @@ def sff_heapq_oracle(grid):
             if nd < dist[ni, nj]:
                 dist[ni, nj] = nd
                 heapq.heappush(heap, (nd, ni, nj))
-    return StaticField(values=dist)
+    return dist
 
 
 def density_oracle(ray_occupancy, r_star):
@@ -171,11 +170,10 @@ def expand_tables(tables):
     }
 
 
-def distributions_oracle(tables, occupancy, cells_flat):
+def distributions_oracle(tables, occupancy, cells_flat, k_p):
     """TransitionTables.distributions evaluated one direction at a time,
     from the expanded per-cell rays."""
     occ_flat = occupancy.reshape(-1).astype(np.float64, copy=False)
-    k_p = tables.params.k_p
     full = expand_tables(tables)
     weights = np.empty((len(cells_flat), 4), dtype=np.float64)
     for d in range(4):
@@ -202,7 +200,7 @@ def tables_oracle(field, grid, params):
     """
     h, w = grid.height, grid.width
     size = h * w
-    s_flat = field.values.reshape(-1)
+    s_flat = field.reshape(-1)
     free = (grid.walls == 0)
     free_flat = free.reshape(-1)
 
@@ -342,7 +340,7 @@ def oracle_step(state, grid, params, tables):
     cells_flat = np.fromiter(
         (i * w + j for _, (i, j) in state.agents), dtype=np.int64, count=len(state.agents)
     )
-    p_rows, norm_zero = distributions_oracle(tables, occ, cells_flat)
+    p_rows, norm_zero = distributions_oracle(tables, occ, cells_flat, params.k_p)
 
     proposals = []
     for k, (aid, cell) in enumerate(state.agents):
@@ -449,7 +447,7 @@ def density(occupancy: np.ndarray, cell: Cell, direction: int, r_star: int) -> f
 NEG_INF = float("-inf")
 
 
-def delta_s(field: StaticField, cell: Cell, direction: int) -> float:
+def delta_s(field: np.ndarray, cell: Cell, direction: int) -> float:
     """Distance gained by stepping from cell in direction: S[cell] - S[next].
 
     Positive toward the exit, in [-1, 1] for walkable neighbors.  Returns
@@ -460,16 +458,15 @@ def delta_s(field: StaticField, cell: Cell, direction: int) -> float:
     i, j = cell
     di, dj = DIR_OFFSETS[direction]
     ni, nj = i + di, j + dj
-    values = field.values
-    if not (0 <= ni < values.shape[0] and 0 <= nj < values.shape[1]):
+    if not (0 <= ni < field.shape[0] and 0 <= nj < field.shape[1]):
         return NEG_INF
-    s_next = values[ni, nj]
+    s_next = field[ni, nj]
     if not math.isfinite(s_next):
         return NEG_INF
-    return float(values[i, j] - s_next)
+    return float(field[i, j] - s_next)
 
 
-def max_delta_s(field: StaticField, cell: Cell) -> float:
+def max_delta_s(field: np.ndarray, cell: Cell) -> float:
     """Best delta_s over the four directions; NEG_INF if every one is blocked."""
     return max(delta_s(field, cell, d) for d in range(4))
 
@@ -491,7 +488,7 @@ class TransitionDistribution:
 
 
 def unnormalized_weight(
-    field: StaticField,
+    field: np.ndarray,
     grid: Grid,
     occupancy: np.ndarray,
     cell: Cell,
@@ -517,7 +514,7 @@ def unnormalized_weight(
 
 
 def direction_weights(
-    field: StaticField,
+    field: np.ndarray,
     grid: Grid,
     occupancy: np.ndarray,
     cell: Cell,
@@ -531,7 +528,7 @@ def direction_weights(
 
 
 def transition_distribution(
-    field: StaticField,
+    field: np.ndarray,
     grid: Grid,
     occupancy: np.ndarray,
     cell: Cell,

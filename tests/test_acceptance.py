@@ -1,4 +1,5 @@
-"""Release gate: nine end-to-end checks, one test per criterion.
+"""Release gate: nine end-to-end checks, one test per criterion (two for
+criterion 2: a frozen stream seed and any stream seed).
 
 Each test is self-contained and prints as a single pass/fail line under
 pytest -v.  Tolerances are pinned here, not computed, so a regression
@@ -10,7 +11,10 @@ Stochastic checks draw from frozen generator seeds.  Where thousands of
 chosen stream fails somewhere with near certainty, so the frozen seed is
 one whose stream keeps every statistic inside its band.  The seed selects
 sampling noise, not model behavior: the sampled distribution itself is
-pinned by exact-value unit tests and the independent oracles.
+pinned by exact-value unit tests and the independent oracles.  The
+second criterion-2 test holds for any stream: one goodness-of-fit p-value
+per fixture against a family-wise level, on fixed seeds that were not
+searched for.
 """
 
 import functools
@@ -25,7 +29,7 @@ import pytest
 
 from conftest import make_scenario, random_grid
 from evacsim.engine import initial_state, run, step
-from evacsim.floorfield import compute_sff, StaticField
+from evacsim.floorfield import compute_sff
 from evacsim.metrics import render_snapshot
 from evacsim.scenario import DIR_OFFSETS, ModelParams, Scenario, parse_scenario
 from evacsim.transition import TransitionTables
@@ -44,6 +48,8 @@ SCENARIOS = Path(__file__).parent.parent / "scenarios"
 N_DRAWS = 100_000
 C2_STREAM_SEED = 22  # frozen by search, see module docstring
 C6_STREAM_SEED = 1
+C2_ANY_SEEDS = (1, 2, 3)  # consecutive, not searched
+C2_FAMILY_ALPHA = 1e-3  # chance that one stream fails a correct engine
 
 
 def _quiet_params(**kw) -> ModelParams:
@@ -72,7 +78,7 @@ def test_criterion_1_static_field_matches_oracle():
     t0 = time.perf_counter()
     for _ in range(100):
         grid = random_grid(rng, 20, 20, 0.20, int(rng.integers(1, 4)), enclosed=True)
-        got = compute_sff(grid).values
+        got = compute_sff(grid)
         want = np.array(sff_oracle(grid.walls.tolist(), sorted(grid.exits)))
         got_inf = ~np.isfinite(got)
         want_inf = ~np.isfinite(want)
@@ -141,7 +147,7 @@ def _fixture_row(grid, cell, occupied, params):
         return None
     tables = TransitionTables(field, grid, params)
     flat = np.array([cell[0] * grid.width + cell[1]], dtype=np.int64)
-    p_eng, norm_zero = tables.distributions(occ, flat)
+    p_eng, norm_zero = tables.distributions(occ, flat, params.k_p)
     assert not norm_zero[0]
     return ref.p, p_eng[0]
 
@@ -166,7 +172,7 @@ def _c2_fixtures():
         usable = [
             (i, j)
             for i, j in map(tuple, np.argwhere(grid.walls == 0))
-            if np.isfinite(field.values[i, j]) and (i, j) not in grid.exits
+            if np.isfinite(field[i, j]) and (i, j) not in grid.exits
         ]
         if not usable:
             continue
@@ -185,7 +191,7 @@ def _c2_fixtures():
             continue
         tables = TransitionTables(field, grid, params)
         flat = np.array([cell[0] * grid.width + cell[1]], dtype=np.int64)
-        p_eng, _ = tables.distributions(occ, flat)
+        p_eng, _ = tables.distributions(occ, flat, params.k_p)
         rows.append((ref.p, p_eng[0]))
     return rows
 
@@ -212,6 +218,78 @@ def test_criterion_2_direction_frequencies_match_distribution():
     assert time.perf_counter() - t0 < 60.0
 
 
+def _chi2_sf(x: float, df: int) -> float:
+    """Chi-square survival function in closed form, df 1 to 3."""
+    if df == 2:
+        return math.exp(-x / 2.0)
+    sf = math.erfc(math.sqrt(x / 2.0))
+    if df == 3:
+        sf += math.sqrt(2.0 * x / math.pi) * math.exp(-x / 2.0)
+    return sf
+
+
+def _binom_two_sided(k: int, n: int, p: float) -> float:
+    """Exact two-sided binomial p-value of k successes in n: twice the
+    smaller tail, capped at 1.  The tails are summed in log space."""
+    const = math.lgamma(n + 1)
+    log_p, log_q = math.log(p), math.log1p(-p)
+
+    def pmf(i):
+        return math.exp(const - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                        + i * log_p + (n - i) * log_q)
+
+    lower = math.fsum(pmf(i) for i in range(k + 1))
+    # past the mean the terms shrink geometrically
+    upper, i = 0.0, k
+    while i <= n:
+        term = pmf(i)
+        upper += term
+        if i > n * p and term <= upper * 1e-17:
+            break
+        i += 1
+    return min(1.0, 2.0 * min(lower, upper))
+
+
+def c2_fixture_p(p_ref: np.ndarray, counts: np.ndarray) -> float:
+    """One p-value for a fixture's direction counts against p_ref.
+
+    Directions expected at least 5 times are tested together by a
+    chi-square conditional on their total; each rarer direction by an
+    exact binomial test; a zero-probability direction that was drawn fails
+    outright.  The smallest of these p-values is Bonferroni-corrected for
+    their number."""
+    n = int(counts.sum())
+    if (counts[p_ref == 0.0] != 0).any():
+        return 0.0
+    common = n * p_ref >= 5.0
+    rare = (p_ref > 0.0) & ~common
+    pvals = [_binom_two_sided(int(counts[d]), n, float(p_ref[d])) for d in np.flatnonzero(rare)]
+    if common.sum() > 1:
+        expected = counts[common].sum() * p_ref[common] / p_ref[common].sum()
+        chi2 = float(((counts[common] - expected) ** 2 / expected).sum())
+        pvals.append(_chi2_sf(chi2, int(common.sum()) - 1))
+    return min(1.0, len(pvals) * min(pvals)) if pvals else 1.0
+
+
+def c2_fixture_pvalues(stream_seed: int) -> list[float]:
+    """c2_fixture_p per fixture, sampling as c2_violations does."""
+    rng = np.random.default_rng(stream_seed)
+    return [c2_fixture_p(p_ref, _sample_counts(p_eng, rng.random(N_DRAWS)))
+            for p_ref, p_eng in _c2_fixtures()]
+
+
+def test_criterion_2_direction_frequencies_hold_for_any_seed():
+    # Bonferroni across fixtures: a correct engine fails a stream with
+    # probability at most C2_FAMILY_ALPHA, whatever its seed
+    alpha = C2_FAMILY_ALPHA / len(_c2_fixtures())
+    t0 = time.perf_counter()
+    for seed in C2_ANY_SEEDS:
+        pvals = c2_fixture_pvalues(seed)
+        worst = int(np.argmin(pvals))
+        assert pvals[worst] >= alpha, (seed, worst, pvals[worst])
+    assert time.perf_counter() - t0 < 60.0
+
+
 # --- criterion 3 -----------------------------------------------------------
 
 def test_criterion_3_normalization_and_wall_zero_pattern():
@@ -224,7 +302,7 @@ def test_criterion_3_normalization_and_wall_zero_pattern():
         cells = [
             (i, j)
             for i, j in map(tuple, np.argwhere(grid.walls == 0))
-            if np.isfinite(field.values[i, j])
+            if np.isfinite(field[i, j])
         ]
         if not cells:
             continue
@@ -239,7 +317,7 @@ def test_criterion_3_normalization_and_wall_zero_pattern():
         for _ in range(5):
             occ = ((rng.random((h, w)) < rng.uniform(0.0, 0.7))
                    & (grid.walls == 0)).astype(np.uint8)
-            p, norm_zero = tables.distributions(occ, flat)
+            p, norm_zero = tables.distributions(occ, flat, params.k_p)
             blocked = np.zeros_like(p, dtype=bool)
             for d, (di, dj) in enumerate(DIR_OFFSETS):
                 for k, (i, j) in enumerate(cells):
@@ -292,7 +370,7 @@ def test_criterion_5_conservation_and_determinism():
         free = [
             (i, j)
             for i, j in map(tuple, np.argwhere(grid.walls == 0))
-            if np.isfinite(field.values[i, j]) and (i, j) not in grid.exits
+            if np.isfinite(field[i, j]) and (i, j) not in grid.exits
         ]
         if len(free) < 4:
             continue
@@ -413,14 +491,14 @@ def _distribution_fingerprint(field, grid, params, occupancies, cells):
     flat = np.array([i * grid.width + j for i, j in cells], dtype=np.int64)
     blobs = []
     for occ in occupancies:
-        p, norm_zero = tables.distributions(occ, flat)
+        p, norm_zero = tables.distributions(occ, flat, params.k_p)
         blobs.append(p.tobytes() + norm_zero.tobytes())
     return blobs
 
 
 def _shift_check(grid, offsets, rng):
     field = compute_sff(grid)
-    finite = np.isfinite(field.values)
+    finite = np.isfinite(field)
     cells = [
         (i, j)
         for i, j in map(tuple, np.argwhere(grid.walls == 0))
@@ -433,11 +511,10 @@ def _shift_check(grid, offsets, rng):
         occupancies.append(occ)
     base = _distribution_fingerprint(field, grid, params, occupancies, cells)
     for c in offsets:
-        shifted_vals = np.where(finite, field.values + c, np.inf)
+        shifted = np.where(finite, field + c, np.inf)
         # the offset must be representable exactly in every sum, otherwise
         # this checks rounding, not the model
-        assert np.all(shifted_vals[finite] - c == field.values[finite])
-        shifted = StaticField(values=shifted_vals)
+        assert np.all(shifted[finite] - c == field[finite])
         assert _distribution_fingerprint(shifted, grid, params, occupancies, cells) == base
         for cell in cells[:: max(1, len(cells) // 12)]:
             a = transition_distribution(field, grid, occupancies[0], cell, params)
@@ -450,7 +527,7 @@ def test_criterion_9_field_offset_invariance():
     rng = np.random.default_rng(909)
     for map_block in _INTEGER_FIELD_MAPS:
         grid = make_scenario(map_block).grid
-        assert np.all(np.isfinite(compute_sff(grid).values)
+        assert np.all(np.isfinite(compute_sff(grid))
                       | (grid.walls == 1))  # sanity: nothing sealed
         _shift_check(grid, (1.0, 17.0, 1024.0), rng)
     # open rooms: distances carry sqrt(2) parts, so most offsets round; a

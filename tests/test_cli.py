@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SCENARIO_DIR, scenario_text
+from conftest import SCENARIO_DIR, scenario_text, src_env
 from evacsim.cli import main
 
 ROOM = """
@@ -288,7 +288,7 @@ def test_dump_sff_matches_direct_computation(room_file, tmp_path):
 
     scenario = parse_scenario(room_file.read_text())
     buf = io.StringIO()
-    export_field_csv(compute_sff(scenario.grid).values, buf)
+    export_field_csv(compute_sff(scenario.grid), buf)
     assert (out / "sff.csv").read_text() == buf.getvalue()
 
 
@@ -346,7 +346,7 @@ def test_console_script_help():
         wrapper = (f"import sys; from {module} import {attr}; "
                    f"sys.argv[0] = 'evacsim'; sys.exit({attr}())")
         cmd = [sys.executable, "-c", wrapper, "--help"]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert "run" in proc.stdout and "sweep" in proc.stdout
 
@@ -356,7 +356,7 @@ def test_module_entry_smoke(room_file, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "evacsim.cli", "run", "--scenario", str(room_file),
          "--out", str(out), "--snapshot-steps", "none"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "s3" / "curve.csv").exists()

@@ -1,5 +1,4 @@
 import copy
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario, random_grid
+from conftest import make_scenario, random_grid, src_env
 from evacsim.engine import initial_state, run, step
 from evacsim.floorfield import compute_sff
 from evacsim.metrics import render_snapshot
@@ -185,14 +184,10 @@ def test_step_raises_on_occupancy_desync():
     with pytest.raises(RuntimeError, match="occupancy holds 2 people, agent list 1"):
         step(state, sc.grid, sc.params, TransitionTables(compute_sff(sc.grid), sc.grid, sc.params))
     if not sys.flags.optimize:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(REPO_ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
              f"{Path(__file__).resolve()}::test_step_raises_on_occupancy_desync"],
-            capture_output=True, text=True, cwd=REPO_ROOT, env=env,
+            capture_output=True, text=True, cwd=REPO_ROOT, env=src_env(),
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
 

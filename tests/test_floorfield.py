@@ -19,15 +19,15 @@ def field_of(map_block):
 def test_corridor_distances():
     grid, f = field_of("##########\n#E.......#\n##########")
     for n in range(8):
-        assert f.values[1, 1 + n] == float(n)
-    assert np.isinf(f.values[0].min())
+        assert f[1, 1 + n] == float(n)
+    assert np.isinf(f[0].min())
 
 
 def test_exit_zero_and_walls_inf():
     grid, f = field_of("####\n#.E#\n####")
-    assert f.values[1, 2] == 0.0
-    assert f.values[1, 1] == 1.0
-    assert np.isinf(f.values[grid.walls == 1]).all()
+    assert f[1, 2] == 0.0
+    assert f[1, 1] == 1.0
+    assert np.isinf(f[grid.walls == 1]).all()
 
 
 def test_diagonal_costs():
@@ -40,37 +40,37 @@ def test_diagonal_costs():
         #####
         """
     )
-    assert f.values[2, 2] == SQRT2
-    assert f.values[2, 3] == 1.0 + SQRT2
-    assert f.values[3, 3] == 2.0 * SQRT2
+    assert f[2, 2] == SQRT2
+    assert f[2, 3] == 1.0 + SQRT2
+    assert f[3, 3] == 2.0 * SQRT2
 
 
 def test_corner_rule_blocks_diagonal_shortcut():
     # the only diagonal from E cuts a wall corner, so the path must go around
     grid, f = field_of("####\n#E.#\n##.#\n####")
-    assert f.values[2, 2] == 2.0
+    assert f[2, 2] == 2.0
 
 
 def test_corner_rule_full_seal():
     grid, f = field_of("####\n#E##\n##.#\n####")
-    assert np.isinf(f.values[2, 2])
+    assert np.isinf(f[2, 2])
 
 
 def test_multiple_exits_take_nearest():
     grid, f = field_of("#######\n#E...E#\n#######")
-    assert list(f.values[1, 1:6]) == [0.0, 1.0, 2.0, 1.0, 0.0]
+    assert list(f[1, 1:6]) == [0.0, 1.0, 2.0, 1.0, 0.0]
 
 
 def test_unreachable_pocket_is_inf():
     grid, f = field_of("#####\n#.#E#\n#####")
-    assert np.isinf(f.values[1, 1])
+    assert np.isinf(f[1, 1])
 
 
 def test_oracle_equivalence_small():
     rng = np.random.default_rng(5)
     for _ in range(20):
         grid = random_grid(rng, 12, 12, 0.25, int(rng.integers(1, 3)))
-        mine = compute_sff(grid).values
+        mine = compute_sff(grid)
         ref = np.array(sff_oracle(grid.walls.tolist(), sorted(grid.exits)))
         assert np.array_equal(np.isinf(mine), np.isinf(ref))
         finite = np.isfinite(ref)
@@ -81,7 +81,7 @@ def test_lipschitz_bound_exhaustive():
     rng = np.random.default_rng(11)
     for _ in range(10):
         grid = random_grid(rng, 15, 15, 0.2, 2)
-        values = compute_sff(grid).values
+        values = compute_sff(grid)
         for i in range(grid.height):
             for j in range(grid.width):
                 if not np.isfinite(values[i, j]):
@@ -104,7 +104,7 @@ def test_lipschitz_bound_random_rooms(room_seed, shape, wall_frac, n_exits):
     sqrt(2) across a diagonal that cuts between two free cells."""
     grid = random_grid(np.random.default_rng(room_seed), *shape, wall_frac, n_exits,
                        enclosed=True)
-    s = compute_sff(grid).values
+    s = compute_sff(grid)
     free = grid.walls == 0
     for a, b, cost, allowed in (
         (s[:-1, :], s[1:, :], 1.0, True),
@@ -121,7 +121,7 @@ def test_removing_wall_never_increases_distance():
     rng = np.random.default_rng(23)
     for _ in range(10):
         grid = random_grid(rng, 12, 12, 0.3, 1)
-        before = compute_sff(grid).values
+        before = compute_sff(grid)
         wall_cells = np.argwhere(grid.walls == 1)
         if len(wall_cells) == 0:
             continue
@@ -129,7 +129,7 @@ def test_removing_wall_never_increases_distance():
         walls = grid.walls.copy()
         walls[pick] = 0
         opened = type(grid)(grid.height, grid.width, walls, grid.exits)
-        after = compute_sff(opened).values
+        after = compute_sff(opened)
         finite = np.isfinite(before)
         assert (after[finite] <= before[finite] + 1e-12).all()
 

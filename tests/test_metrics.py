@@ -159,7 +159,7 @@ def test_export_field_csv_infinity():
     sc = make_scenario("####\n#.E#\n####")
     field = compute_sff(sc.grid)
     buf = io.StringIO()
-    export_field_csv(field.values, buf)
+    export_field_csv(field, buf)
     rows = buf.getvalue().splitlines()
     assert len(rows) == 3
     assert rows[1].split(",") == ["inf", "1.0", "0.0", "inf"]

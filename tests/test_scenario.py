@@ -260,11 +260,18 @@ def test_params_warns_when_people_weight_below_k_s():
         {"mu": 1.2},
         {"seed": -3},
         {"max_steps": 0},
+        # the type column of PARAM_RANGES: a wrong type is a range error
+        {"r": 2.5},
+        {"seed": 1.5},
+        {"r": True},
+        {"max_steps": 3.0},
     ],
 )
 def test_model_params_programmatic_rejects(kwargs):
     base = dict(k_s=4.0, k_p=6.0, k_w=4.0, r=10, mu=0.0, seed=1, max_steps=10)
-    with pytest.raises(ValueError):
+    [(attr, value)] = kwargs.items()
+    words = PARAM_RANGES[attr][2]
+    with pytest.raises(ValueError, match=re.escape(f"{attr} must be {words}, got {value!r}")):
         ModelParams(**{**base, **kwargs})
 
 

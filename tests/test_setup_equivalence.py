@@ -4,10 +4,13 @@ compute_sff (flat-index Dijkstra) must reproduce sff_heapq_oracle, and
 TransitionTables (shifted-slice, in-place build of per-r* rows) must,
 once its rows are expanded to per-cell rays by expand_tables, reproduce
 tables_oracle byte for byte with equal dtypes and shapes: every array a run
-reads is built here, so equal bytes mean equal runs.
+reads is built here, so equal bytes mean equal runs.  k_P enters only at
+distributions: tables built for params that differ in k_P alone are the
+same bytes and give the same distributions for any k_P they are called with.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR, make_scenario, random_grid
-from evacsim.floorfield import StaticField, compute_sff
+from evacsim.floorfield import compute_sff
 from evacsim.scenario import Grid, ModelParams, parse_scenario
 from evacsim.transition import TransitionTables
 from oracles import expand_tables, sff_heapq_oracle, tables_oracle
@@ -101,8 +104,8 @@ def random_grids(seed, count, enclosed):
 
 
 def check_sff(grid):
-    got = compute_sff(grid).values
-    assert_same_bytes(got, sff_heapq_oracle(grid).values)
+    got = compute_sff(grid)
+    assert_same_bytes(got, sff_heapq_oracle(grid))
     assert got.flags.c_contiguous
 
 
@@ -121,12 +124,12 @@ def test_sff_special_rooms_keep_unreachable_cells_infinite():
     # the pockets room: the left chamber and the lone cell at (4, 1) are
     # sealed off; the corner rule seals (3, 1) in corner_seal
     grids = special_grids()
-    pockets = compute_sff(grids["pockets"]).values
+    pockets = compute_sff(grids["pockets"])
     assert np.isinf(pockets[1:3, 1:3]).all()
     assert np.isinf(pockets[4, 1])
     assert np.isfinite(pockets[4, 3])
-    assert np.isinf(compute_sff(grids["corner_seal"]).values[3, 1])
-    assert np.isinf(compute_sff(grids["no_exit"]).values).all()
+    assert np.isinf(compute_sff(grids["corner_seal"])[3, 1])
+    assert np.isinf(compute_sff(grids["no_exit"])).all()
 
 
 @st.composite
@@ -156,6 +159,24 @@ def check_tables(field, grid, params):
         assert_same_bytes(got[name], want[name])
     # the neighbour table is the first ray cell, blocked or not
     assert_same_bytes(tables.nbr, np.ascontiguousarray(want["ray_idx"][:, :, 0]))
+    check_k_p_free(tables, field, grid, params)
+
+
+def check_k_p_free(tables, field, grid, params):
+    other_k_p = params.k_p + 7.25
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        other = TransitionTables(field, grid, replace(params, k_p=other_k_p))
+    for name in COMPACT_ARRAYS:
+        assert_same_bytes(getattr(other, name), getattr(tables, name))
+    rng = np.random.default_rng(grid.height * 1000 + grid.width)
+    occ = ((rng.random(grid.walls.shape) < 0.4) & (grid.walls == 0)).astype(np.uint8)
+    cells = np.flatnonzero(grid.walls == 0)
+    for k_p in (params.k_p, other_k_p, 0.0):
+        got = tables.distributions(occ, cells, k_p)
+        want = other.distributions(occ, cells, k_p)
+        for x, y in zip(got, want):
+            assert_same_bytes(x, y)
 
 
 def params_for(rng, r):
@@ -193,10 +214,10 @@ def test_tables_match_oracle_on_shifted_field(r):
     # criterion 9's offset field, and a field finite on walls: the sight
     # lines and the neighbour test must come from the wall mask alone
     grid = make_scenario(MAPS["pockets"]).grid
-    values = compute_sff(grid).values
+    values = compute_sff(grid)
     rng = np.random.default_rng(9)
     for field in (values + 1000.0, np.where(np.isinf(values), 3.0, values)):
-        check_tables(StaticField(values=field), grid, params_for(rng, r))
+        check_tables(field, grid, params_for(rng, r))
 
 
 def retained_bytes(tables):

@@ -42,8 +42,8 @@ def lockstep(scenario: Scenario, max_steps: int | None = None, rng_prep=None) ->
     w = grid.width
     while a.agents and a.step < limit:
         cells = np.array([i * w + j for _, (i, j) in a.agents], dtype=np.int64)
-        fused = tables.distributions(a.occupancy, cells)
-        split = distributions_oracle(tables, a.occupancy, cells)
+        fused = tables.distributions(a.occupancy, cells, params.k_p)
+        split = distributions_oracle(tables, a.occupancy, cells, params.k_p)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(fused, split)), (
             f"distributions differ before step {a.step + 1}"
         )
@@ -203,7 +203,7 @@ def test_draw_past_rounded_total_takes_last_positive_direction():
     for (i, j) in sorted(set(zip(*np.nonzero(grid.walls == 0))) - grid.exits):
         occ = np.zeros((grid.height, w), dtype=np.uint8)
         occ[i, j] = 1
-        p, _ = tables.distributions(occ, np.array([i * w + j]))
+        p, _ = tables.distributions(occ, np.array([i * w + j]), sc.params.k_p)
         total = 0.0
         for d in range(4):
             total += p[0, d]

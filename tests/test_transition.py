@@ -42,7 +42,7 @@ def test_open_space_forward_weight_is_exp_k_s():
     sc, f = setup_open_room()
     occ = empty_occ(sc.grid)
     cell = (20, 20)  # on the exit row, far from every wall
-    assert f.values[20, 19] == f.values[20, 20] - 1.0
+    assert f[20, 19] == f[20, 20] - 1.0
     w = unnormalized_weight(f, sc.grid, occ, cell, LEFT, sc.params)
     assert w == math.exp(4.0)
     assert w == pytest.approx(54.598150033144236, rel=1e-12)
@@ -164,11 +164,11 @@ def test_tables_match_scalar_path():
             (i, j)
             for i in range(12)
             for j in range(14)
-            if grid.walls[i, j] == 0 and np.isfinite(f.values[i, j])
+            if grid.walls[i, j] == 0 and np.isfinite(f[i, j])
         ]
         tables = TransitionTables(f, grid, params)
         flat = np.array([i * 14 + j for i, j in cells], dtype=np.int64)
-        p_vec, nz_vec = tables.distributions(occ, flat)
+        p_vec, nz_vec = tables.distributions(occ, flat, params.k_p)
         for k, cell in enumerate(cells):
             ref = transition_distribution(f, grid, occ, cell, params)
             assert bool(nz_vec[k]) == ref.norm_zero
@@ -185,7 +185,7 @@ def test_distribution_zeros_iff_wall():
     offsets = ((-1, 0), (0, 1), (1, 0), (0, -1))
     for i in range(10):
         for j in range(10):
-            if grid.walls[i, j] or not np.isfinite(f.values[i, j]):
+            if grid.walls[i, j] or not np.isfinite(f[i, j]):
                 continue
             dist = transition_distribution(f, grid, occ, (i, j), sc_params)
             for d, (di, dj) in enumerate(offsets):
