@@ -14,7 +14,7 @@ import argparse
 import csv
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from statistics import mean
@@ -37,25 +37,12 @@ from .scenario import (
 DEFAULT_SNAPSHOT_STEPS = (25, 65, 135, 165, 180, 225)
 
 
-@dataclass(frozen=True)
-class RunTask:
-    """One (parameter value, seed) simulation, picklable for worker pools.
+def _run_entry(scenario: Scenario, out_dir: str, snapshot_steps: tuple[int, ...],
+               capture_step: int | None):
+    """Run one task and write its files; returns (evac_time, spread at snapshot steps)."""
+    result = run(scenario, snapshot_steps=snapshot_steps, capture_step=capture_step)
 
-    scenario is the parsed file with --set, then the swept pair, then the
-    seed applied, so the swept value wins over --set.
-    """
-
-    scenario: Scenario
-    out_dir: str
-    snapshot_steps: tuple[int, ...]
-    capture_step: int | None
-
-
-def _run_entry(task: RunTask):
-    scenario = task.scenario
-    result = run(scenario, snapshot_steps=task.snapshot_steps, capture_step=task.capture_step)
-
-    out = Path(task.out_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "curve.csv", "w", newline="") as f:
         export_csv(result, f)
@@ -63,15 +50,14 @@ def _run_entry(task: RunTask):
         text, pgm = render_snapshot(occ, scenario.grid)
         (out / f"snap_t{t}.txt").write_text(text)
         (out / f"snap_t{t}.pgm").write_bytes(pgm)
-    if task.capture_step is not None:
-        with open(out / f"distributions_t{task.capture_step}.csv", "w", newline="") as f:
+    if capture_step is not None:
+        with open(out / f"distributions_t{capture_step}.csv", "w", newline="") as f:
             w = csv.writer(f, lineterminator="\n")
             w.writerow(["agent", "row", "col", "p_up", "p_right", "p_down", "p_left", "norm_zero"])
             for aid, (i, j), p, norm_zero in result.captured:
                 w.writerow([aid, i, j, *(repr(float(v)) for v in p), int(norm_zero)])
 
-    spread_at = {s.step: s.value for s in result.spread if s.step in task.snapshot_steps}
-    return scenario.params.seed, result.evac_time, spread_at
+    return result.evac_time, {s.step: s.value for s in result.spread if s.step in snapshot_steps}
 
 
 def _parse_list(raw: str, flag: str, parse) -> list:
@@ -113,36 +99,15 @@ def _parse_set_flags(pairs: list[str]) -> dict:
     return out
 
 
-def _execute(tasks: list[RunTask], workers: int):
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_entry, tasks))
-    return [_run_entry(t) for t in tasks]
-
-
-def _aggregate_row(label_cells: list, rows: list[tuple], snapshot_steps: tuple[int, ...]):
-    """Mean row over per-seed results: evac_time over completed runs only,
-    complete as a fraction, spread per recorded step."""
-    evac = [r[1] for r in rows if r[1] is not None]
-    cells = label_cells + [
-        "mean",
-        repr(mean(evac)) if evac else "",
-        repr(sum(r[1] is not None for r in rows) / len(rows)),
-    ]
-    for t in snapshot_steps:
-        vals = [r[2][t] for r in rows if t in r[2]]
-        cells.append(repr(mean(vals)) if vals else "")
-    return cells
-
-
 def _command(args) -> int:
     """Run every (sweep value, seed) task, then write the per-seed table.
 
     Without a sweep (`run`) there is one group of tasks and the table is
     batch.csv, written only for more than one seed; with `--sweep KEY=V1,...`
     each value is a group, its pair the last override, and the table is
-    aggregate.csv.  Each group's rows end with its _aggregate_row.  Every
-    flag is checked before the scenario file is read.
+    aggregate.csv.  Each group's rows end with its mean row: evac_time over
+    completed runs only, complete as a fraction, spread per recorded step.
+    Every flag is checked before the scenario file is read.
     """
     if args.snapshot_steps is None:
         snapshot_steps = DEFAULT_SNAPSHOT_STEPS
@@ -153,6 +118,8 @@ def _command(args) -> int:
     seeds = None
     if args.seeds is not None:
         seeds = _parse_list(args.seeds, "--seeds", partial(parse_param, "seed"))
+    if args.workers < 1:
+        raise ScenarioError(f"--workers must be >= 1, got {args.workers}")
     if args.dump_distributions is not None and args.dump_distributions < 0:
         raise ScenarioError(f"--dump-distributions must be >= 0, got {args.dump_distributions}")
     overrides = _parse_set_flags(args.set or [])
@@ -169,27 +136,29 @@ def _command(args) -> int:
 
     # latin-1 decodes any byte, so a non-ASCII file meets parse_scenario's rule
     scenario = parse_scenario(Path(args.scenario).read_text(encoding="latin-1"))
-    scenario = replace(scenario, params=replace(scenario.params, **overrides))
     field = compute_sff(scenario.grid)
     problems = validate(scenario, field)
     if problems:
         for p in problems:
             print(f"invalid scenario: {p}", file=sys.stderr)
         return 3
-    seeds = seeds or [scenario.params.seed]
+    seeds = seeds or [overrides.get("seed", scenario.params.seed)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [
-        RunTask(
-            scenario=replace(scenario, params=replace(scenario.params, **swept, seed=seed)),
-            out_dir=str(out / f"{prefix}s{seed}"),
-            snapshot_steps=snapshot_steps,
-            capture_step=args.dump_distributions,
-        )
-        for _, swept, prefix in groups
-        for seed in seeds
-    ]
-    rows = _execute(tasks, args.workers)
+    # each task's parameters: the file's, then --set, then the swept pair,
+    # then the seed, so the swept value wins over --set; built at one line,
+    # so a ModelParams warning is shown once
+    scenarios = [replace(scenario, params=replace(scenario.params,
+                                                  **{**overrides, **swept, "seed": seed}))
+                 for _, swept, _ in groups for seed in seeds]
+    dirs = [str(out / f"{prefix}s{seed}") for _, _, prefix in groups for seed in seeds]
+    run_one = partial(_run_entry, snapshot_steps=snapshot_steps,
+                      capture_step=args.dump_distributions)
+    if args.workers > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            results = list(pool.map(run_one, scenarios, dirs))
+    else:
+        results = list(map(run_one, scenarios, dirs))
     if args.dump_sff:
         with open(out / "sff.csv", "w", newline="") as f:
             export_field_csv(field, f)
@@ -199,18 +168,22 @@ def _command(args) -> int:
         w = csv.writer(f, lineterminator="\n")
         w.writerow([*(["param", "value"] if args.sweep is not None else []), "seed", "evac_time",
                     "complete", *(f"spread_t{t}" for t in snapshot_steps)])
-        # tasks run group by group, and --seeds has no duplicates, so each
-        # group's rows are the next n results
-        n = len(seeds)
-        for g, (label, _, _) in enumerate(groups):
-            group_rows = rows[g * n:(g + 1) * n]
-            for seed, evac_time, spread_at in group_rows:
-                cells = [*label, seed, evac_time if evac_time is not None else "",
-                         int(evac_time is not None)]
-                cells += [repr(spread_at[t]) if t in spread_at else ""
-                          for t in snapshot_steps]
-                w.writerow(cells)
-            w.writerow(_aggregate_row(label, group_rows, snapshot_steps))
+        # tasks run group by group, so each group's results are the next
+        # len(seeds) ones
+        results = iter(results)
+        for label, _, _ in groups:
+            done, spread_vals = [], {t: [] for t in snapshot_steps}
+            for seed, (evac_time, spread_at) in zip(seeds, results):
+                complete = evac_time is not None
+                w.writerow([*label, seed, evac_time if complete else "", int(complete),
+                            *(repr(spread_at[t]) if t in spread_at else "" for t in snapshot_steps)])
+                if complete:
+                    done.append(evac_time)
+                for t, v in spread_at.items():
+                    spread_vals[t].append(v)
+            w.writerow([*label, "mean", repr(mean(done)) if done else "",
+                        repr(len(done) / len(seeds)),
+                        *(repr(mean(v)) if v else "" for v in spread_vals.values())])
     return 0
 
 
@@ -248,9 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
     try:
         return _command(args)
     except ScenarioError as e:

@@ -67,10 +67,6 @@ class SimulationResult:
     spread: list[SpreadSample] = field(default_factory=list)
     captured: list[tuple[int, Cell, np.ndarray, bool]] = field(default_factory=list)
 
-    @property
-    def complete(self) -> bool:
-        return self.evac_time is not None
-
 
 def exit_axis(grid: Grid) -> ExitAxis | None:
     """Axis for the spread metric, or None when exits span several walls."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -159,9 +160,14 @@ class ModelParams:
         # sensitivity to people and walls below the distance sensitivity is
         # legal but usually a sign of a mistyped parameter set
         if self.k_p < self.k_s or self.k_w < self.k_s:
+            # name the caller: the first frame outside this module (whose
+            # globals the generated __init__ runs in) and dataclasses.replace
+            frame, level = sys._getframe(1), 2
+            while frame is not None and frame.f_globals.get("__name__") in (__name__, "dataclasses"):
+                frame, level = frame.f_back, level + 1
             warnings.warn(
                 f"k_P ({self.k_p}) and k_W ({self.k_w}) are normally >= k_S ({self.k_s})",
-                stacklevel=2,
+                stacklevel=level,
             )
 
 

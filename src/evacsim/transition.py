@@ -48,13 +48,16 @@ class TransitionTables:
 
     Per direction d and cell: static_expo (field drop and wall term), nbr
     (cell + offset[d] if that neighbour is free, else the cell itself) and
-    row_key = d * (r + 1) + r*_d.  The m-th ray cell is cell + m * offset[d]
-    and its kernel weight depends on (m, r*) alone, so the rays are rows of
-    three 4 * (r + 1)-row tables that row_key selects: off_rows (m * offset[d]
-    up to r*, 0 past it, so every index is in the grid), w_rows (weights, 0.0
-    past r*) and div_rows (max(r*, 1)); 96 B per cell for any r.  Past r* a
-    ray stays on its own occupied cell, where weight 0.0 gives a +0.0
-    product just as per-cell (size, r) rays do, so p has their bits.
+    row_key = d * (n + 1) + r*_d, where n = min(r, max(height, width)) bounds
+    r*: no free run in the grid is that long.  The m-th ray cell is
+    cell + m * offset[d] and its kernel weight depends on (m, r*) alone, so
+    the rays are rows of three 4 * (n + 1)-row tables that row_key selects:
+    off_rows (m * offset[d] up to r*, 0 past it, so every index is in the
+    grid), w_rows (weights, 0.0 past r*) and div_rows (max(r*, 1)); 96 B per
+    cell, and rows sized by the grid, for any r.  The rows keep r columns:
+    the ray length sets numpy's summation order, so p's bits depend on it.
+    Past r* a ray stays on its own occupied cell, where weight 0.0 gives a
+    +0.0 product just as per-cell (size, r) rays do, so p has their bits.
 
     field is compute_sff's array.  Of params only k_s, k_w and r are read.
     """
@@ -62,19 +65,20 @@ class TransitionTables:
     def __init__(self, field: np.ndarray, grid: Grid, params: ModelParams):
         h, w = grid.height, grid.width
         r = params.r
+        n = min(r, max(h, w))
         size = h * w
         s_flat = field.reshape(-1)
-        free_pad = np.zeros((h + 2 * r, w + 2 * r), dtype=bool)
-        free_pad[r:r + h, r:r + w] = grid.walls == 0
+        free_pad = np.zeros((h + 2 * n, w + 2 * n), dtype=bool)
+        free_pad[n:n + h, n:n + w] = grid.walls == 0
 
         cells = np.arange(size)
         ds = np.full((4, size), -np.inf)
         r_star = np.empty((4, size), dtype=np.int64)
         nbr = np.empty((4, size), dtype=np.int64)
-        look = np.empty((r, h, w), dtype=bool)
+        look = np.empty((n, h, w), dtype=bool)
         for d, (di, dj) in enumerate(DIR_OFFSETS):
-            for m in range(1, r + 1):
-                look[m - 1] = free_pad[r + m * di:r + m * di + h, r + m * dj:r + m * dj + w]
+            for m in range(1, n + 1):
+                look[m - 1] = free_pad[n + m * di:n + m * di + h, n + m * dj:n + m * dj + w]
             # the run of free cells ahead; r* is its length
             np.logical_and.accumulate(look, axis=0, out=look)
             r_star[d] = look.sum(axis=0).reshape(-1)
@@ -98,11 +102,11 @@ class TransitionTables:
         np.copyto(ds, -np.inf, where=~ok)
         self.static_expo = ds
         self.nbr = nbr
-        self.row_key = np.add(r_star, (r + 1) * np.arange(4)[:, None], out=r_star)
+        self.row_key = np.add(r_star, (n + 1) * np.arange(4)[:, None], out=r_star)
 
         # row r* of the ray tables; m <= r* keeps z = m / C below sqrt(5),
         # inside the kernel's support
-        rs = np.arange(r + 1)
+        rs = np.arange(n + 1)
         steps = np.arange(1, r + 1)
         past = steps > rs[:, None]
         z = steps.astype(np.float64) / ((rs + 1) / SQRT5)[:, None]

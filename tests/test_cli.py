@@ -213,6 +213,8 @@ def test_workers_zero_exit_2(room_file, tmp_path, capsys):
     rc = main(["run", "--scenario", str(room_file), "--out", str(tmp_path / "o"),
                "--workers", "0"])
     assert rc == 2
+    assert capsys.readouterr().err.startswith("scenario error:")
+    assert not (tmp_path / "o").exists()
 
 
 def test_invalid_scenario_exit_3(tmp_path, capsys):

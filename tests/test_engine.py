@@ -175,6 +175,25 @@ def test_step_agent_starting_on_exit_removed():
     assert out.agents == [] and out.step == 1
 
 
+@pytest.mark.parametrize(
+    "agents, message",
+    [
+        (((1, -1),), r"agent out of bounds at \(1, -1\)"),  # would wrap to a wall cell
+        (((1, 40),), r"agent out of bounds at \(1, 40\)"),
+        (((0, 0),), r"agent on wall at \(0, 0\)"),
+        (((1, 3), (1, 5), (1, 5)), r"cell occupied twice at \(1, 5\)"),
+    ],
+    ids=["negative_column", "past_last_column", "wall", "occupied"],
+)
+def test_initial_state_rejects_agents_it_cannot_place(agents, message):
+    sc = parse_scenario((REPO_ROOT / "scenarios" / "corridor30.txt").read_text())
+    bad = replace(sc, initial_agents=agents)
+    with pytest.raises(ValueError, match=message):
+        initial_state(bad)
+    with pytest.raises(ValueError, match=message):
+        run(bad)
+
+
 def test_step_raises_on_occupancy_desync():
     # a person in the occupancy who is not in the agent list must be
     # reported, also under python -O, which strips assert statements

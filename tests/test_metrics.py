@@ -163,10 +163,3 @@ def test_export_field_csv_infinity():
     rows = buf.getvalue().splitlines()
     assert len(rows) == 3
     assert rows[1].split(",") == ["inf", "1.0", "0.0", "inf"]
-
-
-def test_result_complete_property():
-    done = SimulationResult(curve=[(0, 1), (1, 0)], evac_time=1)
-    assert done.complete
-    stuck = SimulationResult(curve=[(0, 1)], evac_time=None)
-    assert not stuck.complete

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,7 +250,19 @@ def test_params_warns_when_people_weight_below_k_s():
         make_scenario(ROOM, k_W="0.5")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        make_scenario(ROOM)  # defaults satisfy the convention, no warning
+        params = make_scenario(ROOM).params  # defaults satisfy the convention, no warning
+    # the warning points at the line that made the parameters, not at the
+    # dataclass machinery or the parser
+    calls = {
+        "direct": lambda: ModelParams(k_s=4.0, k_p=1.0, k_w=4.0, r=10, mu=0.0, seed=1,
+                                      max_steps=10),
+        "replace": lambda: replace(params, k_p=1.0),
+        "parse_scenario": lambda: parse_scenario(scenario_text(ROOM, k_P="1.0")),
+    }
+    for name, call in calls.items():
+        with pytest.warns(UserWarning, match="k_P") as record:
+            call()
+        assert [w.filename for w in record] == [__file__], name
 
 
 @pytest.mark.parametrize(

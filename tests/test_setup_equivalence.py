@@ -9,6 +9,7 @@ distributions: tables built for params that differ in k_P alone are the
 same bytes and give the same distributions for any k_P they are called with.
 """
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -193,9 +194,10 @@ def params_for(rng, r):
         )
 
 
-@pytest.mark.parametrize("r", [1, 2, 10, 17])
+@pytest.mark.parametrize("r", [1, 2, 10, 17, 100])
 def test_tables_match_oracle_on_special_rooms(r):
-    # includes rooms narrower than r in one or both directions
+    # includes rooms narrower than r in one or both directions, and at
+    # r = 100 every room is
     rng = np.random.default_rng(r)
     for grid in special_grids().values():
         check_tables(compute_sff(grid), grid, params_for(rng, r))
@@ -234,3 +236,15 @@ def test_tables_memory_is_bounded_in_r():
     size = {r: retained_bytes(TransitionTables(field, grid, params_for(rng, r))) for r in (1, 10, 17)}
     assert size[17] - size[1] <= 64 * 1024
     assert size[10] < 160 * grid.height * grid.width
+    # r* never exceeds the grid's longer side, so on corridor30 (3 x 33)
+    # r = 1,000 keeps 4 * 34 rows of r entries per table, not 4 * 1,001
+    sc = parse_scenario((SCENARIO_DIR / "corridor30.txt").read_text())
+    field = compute_sff(sc.grid)
+    tracemalloc.start()
+    try:
+        tables = TransitionTables(field, sc.grid, replace(sc.params, r=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert retained_bytes(tables) < 4 * 2**20
+    assert peak < 8 * 2**20
