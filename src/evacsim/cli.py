@@ -56,6 +56,9 @@ def _run_entry(scenario: Scenario, out_dir: str, snapshot_steps: tuple[int, ...]
             w.writerow(["agent", "row", "col", "p_up", "p_right", "p_down", "p_left", "norm_zero"])
             for aid, (i, j), p, norm_zero in result.captured:
                 w.writerow([aid, i, j, *(repr(float(v)) for v in p), int(norm_zero)])
+            if not result.captured:
+                print(f"note: {f.name} has no rows: the run ended at step {result.curve[-1][0]}",
+                      file=sys.stderr)
 
     return result.evac_time, {s.step: s.value for s in result.spread if s.step in snapshot_steps}
 

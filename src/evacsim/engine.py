@@ -36,13 +36,12 @@ the occupancy; SimulationState.agents derives (id, (i, j)) pairs from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .floorfield import compute_sff
 from .metrics import SimulationResult, SpreadSample, exit_axis, spread_metric
-from .scenario import Cell, Grid, ModelParams, Scenario
+from .scenario import Cell, Grid, ModelParams, Scenario, place
 from .transition import TransitionTables
 
 
@@ -71,27 +70,16 @@ class SimulationState:
 def initial_state(scenario: Scenario) -> SimulationState:
     """State at step 0.  Agent ids follow the scenario's raster order.
 
-    Raises ValueError for an agent outside the grid, on a wall or on a cell
-    another agent already holds: no run can place it.  An agent with no
-    path to an exit is placed, and stays where it is.
+    Raises ValueError with scenario.place's first message for an agent that
+    breaks its rule: no run can place it.  An agent with no path to an exit
+    is placed, and stays where it is.
     """
     grid = scenario.grid
-    agents = scenario.initial_agents
-    ij = np.fromiter(chain.from_iterable(agents), dtype=np.int64, count=2 * len(agents))
-    # whole-array checks; only a failing one looks for its agent
-    try:
-        cells = np.ravel_multi_index((ij[0::2], ij[1::2]), grid.walls.shape)
-    except ValueError:
-        bad = next(c for c in agents if not grid.in_bounds(c))
-        raise ValueError(f"agent out of bounds at {bad}") from None
-    if grid.walls.reshape(-1)[cells].any():
-        raise ValueError(f"agent on wall at {next(c for c in agents if grid.walls[c])}")
+    cells, problems = place(grid.walls, scenario.initial_agents)
+    if problems:
+        raise ValueError(problems[0])
     occ = np.zeros((grid.height, grid.width), dtype=np.uint8)
     occ.reshape(-1)[cells] = 1
-    if np.count_nonzero(occ) != cells.size:
-        ordered = np.sort(cells)
-        twice = int(ordered[(ordered[1:] == ordered[:-1]).argmax()])
-        raise ValueError(f"cell occupied twice at {divmod(twice, grid.width)}")
     ids = np.arange(cells.size, dtype=np.int64)
     rng = np.random.Generator(np.random.PCG64(scenario.params.seed))
     return SimulationState(occupancy=occ, ids=ids, cells=cells, step=0, rng=rng)

@@ -90,6 +90,35 @@ class ScenarioError(ValueError):
         super().__init__(message + where)
 
 
+def place(walls: np.ndarray, cells, noun: str = "agent") -> tuple[np.ndarray, list[str]]:
+    """The placement rule: a cell is two integers (not bool) on walls' grid,
+    not a wall, and no earlier cell's.  Returns, in the cells' order, the int64
+    flat row-major index of each cell that keeps it and a message for each other."""
+    h, w = walls.shape
+    blocked = (walls != 0).tobytes()
+    flat: list[int] = []
+    problems: list[str] = []
+    seen: set[int] = set()
+    for i, j in cells:
+        if type(i) is not int or type(j) is not int:
+            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (i, j)):
+                problems.append(f"{noun} at {(i, j)} is not two integers")
+                continue
+        if not (0 <= i < h and 0 <= j < w):
+            problems.append(f"{noun} out of bounds at {(i, j)}")
+            continue
+        k = i * w + j
+        if k in seen:
+            problems.append(f"cell occupied twice at {(i, j)}")
+            continue
+        seen.add(k)
+        if blocked[k]:
+            problems.append(f"{noun} on wall at {(i, j)}")
+        else:
+            flat.append(k)
+    return np.array(flat, dtype=np.int64), problems
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Room geometry: wall matrix plus the set of exit cells.
@@ -107,15 +136,9 @@ class Grid:
     def __post_init__(self):
         if self.walls.shape != (self.height, self.width):
             raise ValueError(f"walls shape {self.walls.shape} != {(self.height, self.width)}")
-        for cell in self.exits:
-            if not self.in_bounds(cell):
-                raise ValueError(f"exit out of bounds at {cell}")
-            if self.walls[cell]:
-                raise ValueError(f"exit on wall at {cell}")
-
-    def in_bounds(self, cell: Cell) -> bool:
-        i, j = cell
-        return 0 <= i < self.height and 0 <= j < self.width
+        _, problems = place(self.walls, sorted(self.exits), "exit")
+        if problems:
+            raise ValueError(problems[0])
 
     @cached_property
     def exit_mask(self) -> np.ndarray:
@@ -274,9 +297,9 @@ def parse_scenario(text: str) -> Scenario:
 def validate(scenario: Scenario, field: np.ndarray) -> list[str]:
     """Check scenario invariants against the grid's static field; return violations.
 
-    Reported violations, one string each: missing exits, non-wall border
-    cells that are not exits, agents out of bounds / on walls / duplicated,
-    and agents with no path to an exit.
+    Reported violations, one string each, in this order: missing exits,
+    non-wall border cells that are not exits, the agents that break place's
+    rule, then the placed agents with no path to an exit (agent order).
     """
     grid = scenario.grid
     problems: list[str] = []
@@ -288,17 +311,6 @@ def validate(scenario: Scenario, field: np.ndarray) -> list[str]:
     open_border[1:-1, 1:-1] = False
     problems += [f"open border at ({i}, {j})" for i, j in np.argwhere(open_border).tolist()]
 
-    seen: set[Cell] = set()
-    for cell in scenario.initial_agents:
-        if not grid.in_bounds(cell):
-            problems.append(f"agent out of bounds at {cell}")
-            continue
-        if cell in seen:
-            problems.append(f"cell occupied twice at {cell}")
-            continue
-        seen.add(cell)
-        if grid.walls[cell]:
-            problems.append(f"agent on wall at {cell}")
-        elif not np.isfinite(field[cell]):
-            problems.append(f"unreachable agent at {cell}")
-    return problems
+    flat, placed = place(grid.walls, scenario.initial_agents)
+    stuck = flat[~np.isfinite(field.reshape(-1)[flat])].tolist()
+    return problems + placed + [f"unreachable agent at {divmod(k, grid.width)}" for k in stuck]

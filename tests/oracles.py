@@ -29,6 +29,12 @@ transition_distribution).  TransitionTables precomputes the same factors
 for the whole grid and must agree with this path.  serialize_scenario and
 parse_snapshot invert parse_scenario and the ASCII half of render_snapshot
 for round-trip tests.
+
+placement_oracle is the per-agent loop scenario.validate ran before
+scenario.place took the placement rule over (less its reachability
+test): tuple cells in a set, the 2-D wall array indexed cell by cell.
+place must give its messages, in its order.  in_bounds is the grid-bounds
+test it and the scalar path share.
 """
 
 import heapq
@@ -487,6 +493,28 @@ class TransitionDistribution:
     norm_zero: bool
 
 
+def in_bounds(grid: Grid, cell: Cell) -> bool:
+    i, j = cell
+    return 0 <= i < grid.height and 0 <= j < grid.width
+
+
+def placement_oracle(grid: Grid, cells) -> list[str]:
+    """One message per agent cell that breaks the placement rule, in order."""
+    problems: list[str] = []
+    seen: set[Cell] = set()
+    for cell in cells:
+        if not in_bounds(grid, cell):
+            problems.append(f"agent out of bounds at {cell}")
+            continue
+        if cell in seen:
+            problems.append(f"cell occupied twice at {cell}")
+            continue
+        seen.add(cell)
+        if grid.walls[cell]:
+            problems.append(f"agent on wall at {cell}")
+    return problems
+
+
 def unnormalized_weight(
     field: np.ndarray,
     grid: Grid,
@@ -499,7 +527,7 @@ def unnormalized_weight(
     i, j = cell
     di, dj = DIR_OFFSETS[direction]
     ni, nj = i + di, j + dj
-    if not grid.in_bounds((ni, nj)) or grid.walls[ni, nj]:
+    if not in_bounds(grid, (ni, nj)) or grid.walls[ni, nj]:
         return 0.0
     ds = delta_s(field, cell, direction)
     if ds == NEG_INF:

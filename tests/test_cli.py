@@ -219,11 +219,14 @@ def test_workers_zero_exit_2(room_file, tmp_path, capsys):
 
 def test_invalid_scenario_exit_3(tmp_path, capsys):
     leaky = tmp_path / "leaky.txt"
-    # floor cell on the bottom border row
-    leaky.write_text(scenario_text("####\n#PE#\n#..#\n#.##"))
+    # floor cell on the bottom border row, and an agent walled in at (1, 4)
+    leaky.write_text(scenario_text("######\n#PE#P#\n#..###\n#.####"))
     rc = main(["run", "--scenario", str(leaky), "--out", str(tmp_path / "o")])
     assert rc == 3
-    assert "invalid scenario:" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "invalid scenario: open border at (3, 1)\n"
+        "invalid scenario: unreachable agent at (1, 4)\n"
+    )
 
 
 def test_missing_file_exit_4(tmp_path, capsys):
@@ -292,6 +295,18 @@ def test_dump_sff_matches_direct_computation(room_file, tmp_path):
     buf = io.StringIO()
     export_field_csv(compute_sff(scenario.grid), buf)
     assert (out / "sff.csv").read_text() == buf.getvalue()
+
+
+@pytest.mark.parametrize("at, rows, note", [(29, 1, False), (30, 0, True), (500, 0, True)])
+def test_dump_distributions_notes_a_step_without_rows(tmp_path, capsys, at, rows, note):
+    # corridor30's one agent leaves at step 30, the run's last step
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(SCENARIO_DIR / "corridor30.txt"), "--out", str(out),
+                 "--snapshot-steps", "none", "--dump-distributions", str(at)]) == 0
+    dump = out / "s1" / f"distributions_t{at}.csv"
+    assert len(read_csv(dump)) == 1 + rows
+    err = f"note: {dump} has no rows: the run ended at step 30\n" if note else ""
+    assert capsys.readouterr().err == err
 
 
 def test_dump_distributions_rows_normalized(room_file, tmp_path):

@@ -13,9 +13,17 @@ from conftest import make_scenario, random_grid, src_env
 from evacsim.engine import initial_state, run, step
 from evacsim.floorfield import compute_sff
 from evacsim.metrics import render_snapshot
-from evacsim.scenario import DIR_OFFSETS, ModelParams, Scenario, parse_scenario
+from evacsim.scenario import DIR_OFFSETS, Grid, ModelParams, Scenario, parse_scenario, place
 from evacsim.transition import TransitionTables
-from oracles import Proposal, TransitionDistribution, choose_target, draw_direction, resolve_conflicts
+from oracles import (
+    Proposal,
+    TransitionDistribution,
+    choose_target,
+    draw_direction,
+    in_bounds,
+    placement_oracle,
+    resolve_conflicts,
+)
 
 DATA = Path(__file__).parent / "data"
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -182,8 +190,10 @@ def test_step_agent_starting_on_exit_removed():
         (((1, 40),), r"agent out of bounds at \(1, 40\)"),
         (((0, 0),), r"agent on wall at \(0, 0\)"),
         (((1, 3), (1, 5), (1, 5)), r"cell occupied twice at \(1, 5\)"),
+        (((1.7, 5),), r"agent at \(1.7, 5\) is not two integers"),
+        (((True, 5),), r"agent at \(True, 5\) is not two integers"),
     ],
-    ids=["negative_column", "past_last_column", "wall", "occupied"],
+    ids=["negative_column", "past_last_column", "wall", "occupied", "float", "bool"],
 )
 def test_initial_state_rejects_agents_it_cannot_place(agents, message):
     sc = parse_scenario((REPO_ROOT / "scenarios" / "corridor30.txt").read_text())
@@ -192,6 +202,40 @@ def test_initial_state_rejects_agents_it_cannot_place(agents, message):
         initial_state(bad)
     with pytest.raises(ValueError, match=message):
         run(bad)
+
+
+@st.composite
+def rooms_with_agents(draw):
+    """A small wall-enclosed room and agent cells from two cells around it,
+    with interior walls, cells off the grid and repeats."""
+    h, w = draw(st.integers(3, 6)), draw(st.integers(3, 6))
+    walls = np.ones((h, w), dtype=np.uint8)
+    inner = draw(st.lists(st.sampled_from((0, 0, 0, 1)), min_size=(h - 2) * (w - 2),
+                          max_size=(h - 2) * (w - 2)))
+    walls[1:-1, 1:-1] = np.array(inner, dtype=np.uint8).reshape(h - 2, w - 2)
+    cell = (st.tuples(st.integers(1, h - 2), st.integers(1, w - 2))
+            | st.tuples(st.integers(-2, h + 1), st.integers(-2, w + 1)))
+    agents = draw(st.lists(cell, max_size=8))
+    if agents:
+        agents = draw(st.permutations(agents + draw(st.lists(st.sampled_from(agents), max_size=3))))
+    return Grid(height=h, width=w, walls=walls, exits=frozenset()), tuple(agents)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rooms_with_agents())
+def test_place_agrees_with_oracle_and_initial_state(room):
+    grid, agents = room
+    flat, problems = place(grid.walls, agents)
+    assert problems == placement_oracle(grid, agents)
+    sc = replace(make_scenario("###\n#E#\n###"), grid=grid, initial_agents=agents)
+    if problems:
+        with pytest.raises(ValueError) as info:
+            initial_state(sc)
+        assert str(info.value) == problems[0]
+    else:
+        want = [i * grid.width + j for i, j in agents]
+        assert flat.dtype == np.int64 and flat.tolist() == want
+        assert initial_state(sc).cells.tolist() == want
 
 
 def test_step_raises_on_occupancy_desync():
@@ -342,7 +386,7 @@ def test_random_rooms_conserve_agents(room_seed, shape, wall_frac, density, k_s,
                 i, j = divmod(prev[aid], w)
                 reach = [(i + di, j + dj) for di, dj in DIR_OFFSETS]
                 assert on_exit[i, j] or any(
-                    grid.in_bounds(c) and on_exit[c] and not prev_occ[c] for c in reach
+                    in_bounds(grid, c) and on_exit[c] and not prev_occ[c] for c in reach
                 )
         if not cells.size or state.step == params.max_steps:
             break

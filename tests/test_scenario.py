@@ -295,8 +295,9 @@ def test_grid_invariants():
         Grid(height=3, width=3, walls=walls, exits=frozenset({(1, 1)}))
     with pytest.raises(ValueError, match="out of bounds"):
         Grid(height=3, width=3, walls=walls, exits=frozenset({(5, 0)}))
+    with pytest.raises(ValueError, match=re.escape("exit at (1.5, 0) is not two integers")):
+        Grid(height=3, width=3, walls=walls, exits=frozenset({(1.5, 0)}))
     g = Grid(height=3, width=3, walls=walls, exits=frozenset({(0, 0)}))
-    assert g.in_bounds((2, 2)) and not g.in_bounds((3, 0))
     assert g.exit_mask[0, 0] and g.exit_mask.sum() == 1
     same = Grid(height=3, width=3, walls=walls.copy(), exits=frozenset({(0, 0)}))
     assert g == same

@@ -7,7 +7,7 @@ from conftest import make_scenario, random_grid
 from evacsim.floorfield import compute_sff
 from evacsim.scenario import DOWN, LEFT, RIGHT, UP, ModelParams
 from evacsim.transition import TransitionTables
-from oracles import direction_weights, transition_distribution, unnormalized_weight
+from oracles import direction_weights, in_bounds, transition_distribution, unnormalized_weight
 
 
 def setup_open_room():
@@ -190,5 +190,5 @@ def test_distribution_zeros_iff_wall():
             dist = transition_distribution(f, grid, occ, (i, j), sc_params)
             for d, (di, dj) in enumerate(offsets):
                 ni, nj = i + di, j + dj
-                blocked = not grid.in_bounds((ni, nj)) or grid.walls[ni, nj]
+                blocked = not in_bounds(grid, (ni, nj)) or grid.walls[ni, nj]
                 assert (dist.p[d] == 0.0) == blocked
