@@ -11,7 +11,9 @@ them on the paper room.
 
 The rooms cover interior obstacles around an unreachable pocket, exits on
 two walls (no spread axis), agents starting on exits, a serpentine detour
-and a room narrower than r.  To record corpus_sha256.json afresh, run
+and a room narrower than r.  The large rooms of large_rooms.py, built in
+code and too big for a run grid here, pin their static field alone in
+large_sff_sha256.json.  To record both files afresh, run
 `python tests/test_corpus.py` from the checkout root; a recording belongs
 to the revision it was taken at, and the digests must never change.
 """
@@ -25,12 +27,14 @@ from pathlib import Path
 import pytest
 
 from conftest import SCENARIO_DIR
+from large_rooms import ROOMS as LARGE_ROOMS
 from evacsim.engine import run
 from evacsim.floorfield import compute_sff
 from evacsim.scenario import parse_scenario
 
 DATA = Path(__file__).parent / "data"
 CORPUS = DATA / "corpus_sha256.json"
+LARGE = DATA / "large_sff_sha256.json"
 ROOMS = {p.stem: p for p in sorted((DATA / "corpus").glob("*.txt"))}
 ROOMS.update({p.stem: p for p in sorted(SCENARIO_DIR.glob("*.txt"))})
 # steps per run; the paper room's 300 agents make its steps the dearest
@@ -58,10 +62,14 @@ def run_digest(result, max_steps):
     return h.hexdigest()
 
 
+def sff_digest(grid):
+    field = compute_sff(grid)
+    return hashlib.sha256(repr(field.shape).encode() + field.tobytes()).hexdigest()
+
+
 def room_digests(name):
     sc = load(name)
-    field = compute_sff(sc.grid)
-    out = {"sff": hashlib.sha256(repr(field.shape).encode() + field.tobytes()).hexdigest()}
+    out = {"sff": sff_digest(sc.grid)}
     max_steps = sc.params.max_steps
     for r in (1, 3, 10, max(sc.grid.height, sc.grid.width, 10) + 1):
         for k_p in K_PS:
@@ -80,5 +88,12 @@ def test_corpus_digests_unchanged(name):
     assert room_digests(name) == json.loads(CORPUS.read_text())[name]
 
 
+@pytest.mark.parametrize("name", sorted(LARGE_ROOMS))
+def test_large_room_sff_unchanged(name):
+    assert sff_digest(LARGE_ROOMS[name]()) == json.loads(LARGE.read_text())[name]
+
+
 if __name__ == "__main__":
     CORPUS.write_text(json.dumps({name: room_digests(name) for name in sorted(ROOMS)}, indent=1) + "\n")
+    LARGE.write_text(json.dumps({name: sff_digest(LARGE_ROOMS[name]()) for name in sorted(LARGE_ROOMS)},
+                                indent=1) + "\n")
