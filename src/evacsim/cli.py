@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
@@ -61,6 +62,21 @@ def _run_entry(scenario: Scenario, out_dir: str, snapshot_steps: tuple[int, ...]
                       file=sys.stderr)
 
     return result.evac_time, {s.step: s.value for s in result.spread if s.step in snapshot_steps}
+
+
+def _note_warnings(shown: set, source: str, make):
+    """make(), with each warning it raises printed on stderr once, as one
+    from source (the scenario file, --set or --sweep), unless shown already
+    holds its text: a ModelParams warning would name this module instead
+    of the input that set the parameters."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        made = make()
+    for w in caught:
+        if str(w.message) not in shown:
+            shown.add(str(w.message))
+            print(f"warning: {source}: {w.message}", file=sys.stderr)
+    return made
 
 
 def _parse_list(raw: str, flag: str, parse) -> list:
@@ -137,8 +153,10 @@ def _command(args) -> int:
         groups = [([param, v], {PARAM_ATTRS[param]: parse_param(param, v)}, f"p{v}_")
                   for v in _parse_list(raw_values, "--sweep", str)]
 
+    noted = partial(_note_warnings, set())
     # latin-1 decodes any byte, so a non-ASCII file meets parse_scenario's rule
-    scenario = parse_scenario(Path(args.scenario).read_text(encoding="latin-1"))
+    text = Path(args.scenario).read_text(encoding="latin-1")
+    scenario = noted(args.scenario, lambda: parse_scenario(text))
     field = compute_sff(scenario.grid)
     problems = validate(scenario, field)
     if problems:
@@ -149,11 +167,10 @@ def _command(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # each task's parameters: the file's, then --set, then the swept pair,
-    # then the seed, so the swept value wins over --set; built at one line,
-    # so a ModelParams warning is shown once
-    scenarios = [replace(scenario, params=replace(scenario.params,
-                                                  **{**overrides, **swept, "seed": seed}))
-                 for _, swept, _ in groups for seed in seeds]
+    # then the seed, so the swept value wins over --set
+    params = noted("--set", lambda: replace(scenario.params, **overrides))
+    scenarios = [replace(scenario, params=p) for _, swept, _ in groups
+                 for p in noted("--sweep", lambda: [replace(params, **swept, seed=s) for s in seeds])]
     dirs = [str(out / f"{prefix}s{seed}") for _, _, prefix in groups for seed in seeds]
     run_one = partial(_run_entry, snapshot_steps=snapshot_steps,
                       capture_step=args.dump_distributions)

@@ -79,8 +79,10 @@ class TransitionTables:
         for d, (di, dj) in enumerate(DIR_OFFSETS):
             for m in range(1, n + 1):
                 look[m - 1] = free_pad[n + m * di:n + m * di + h, n + m * dj:n + m * dj + w]
-            # the run of free cells ahead; r* is its length
-            np.logical_and.accumulate(look, axis=0, out=look)
+            # the run of free cells ahead: look[m - 1] becomes "the first m
+            # cells are free", and r* counts the m that hold
+            for m in range(1, n):
+                look[m] &= look[m - 1]
             r_star[d] = look.sum(axis=0).reshape(-1)
             free_next = look[0].reshape(-1)
             nbr[d] = np.where(free_next, cells + (di * w + dj), cells)

@@ -129,6 +129,28 @@ def test_set_override_changes_behavior(room_file, tmp_path):
     assert len(slow_rows) > len(fast_rows)
 
 
+def test_params_warning_names_the_input_that_set_it(tmp_path, capsys):
+    # the k_P/k_W-below-k_S warning names the file, --set or --sweep, once
+    # per text, and not a line of cli.py; a text an earlier input already
+    # gave is not repeated
+    low = tmp_path / "low.txt"
+    low.write_text(scenario_text(CORRIDOR, k_P=2, max_steps=5))
+    argv = ["sweep", "--scenario", str(low), "--snapshot-steps", "none", "--seeds", "1,2",
+            "--set", "k_P=3", "--sweep", "k_W=1,4,5"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {low}: k_P (2.0) and k_W (4.0) are normally >= k_S (4.0)",
+        "warning: --set: k_P (3.0) and k_W (4.0) are normally >= k_S (4.0)",
+        "warning: --sweep: k_P (3.0) and k_W (1.0) are normally >= k_S (4.0)",
+        "warning: --sweep: k_P (3.0) and k_W (5.0) are normally >= k_S (4.0)",
+    ]
+    corridor = SCENARIO_DIR / "corridor30.txt"
+    assert main(["run", "--scenario", str(corridor), "--out", str(tmp_path / "run"),
+                 "--snapshot-steps", "none", "--set", "k_P=1", "--workers", "2"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: --set: k_P (1.0) and k_W (4.0) are normally >= k_S (4.0)\n")
+
+
 @pytest.mark.parametrize(
     "argv_tail",
     [
@@ -262,7 +284,6 @@ def test_workers_do_not_change_bytes(corridor_file, tmp_path):
     assert tree_bytes(serial) == tree_bytes(parallel)
 
 
-@pytest.mark.filterwarnings("ignore:k_P .* are normally")
 @settings(max_examples=10, deadline=None)
 @given(
     seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3, unique=True),

@@ -1,6 +1,7 @@
 """The scenario set-up against the implementations it replaced.
 
-compute_sff (flat-index Dijkstra) must reproduce sff_heapq_oracle, and
+compute_sff (a bucket phase with a heap tail) must reproduce
+sff_heapq_oracle, on rooms that stop at each stage of the search, and
 TransitionTables (shifted-slice, in-place build of per-r* rows) must,
 once its rows are expanded to per-cell rays by expand_tables, reproduce
 tables_oracle byte for byte with equal dtypes and shapes: every array a run
@@ -19,9 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR, make_scenario, random_grid
+from evacsim import floorfield
 from evacsim.floorfield import compute_sff
 from evacsim.scenario import Grid, ModelParams, parse_scenario
 from evacsim.transition import TransitionTables
+from large_rooms import ROOMS as LARGE_ROOMS
 from oracles import expand_tables, sff_heapq_oracle, tables_oracle
 
 TABLE_ARRAYS = ("static_expo", "ray_idx", "ray_w", "ray_div")
@@ -108,6 +111,77 @@ def check_sff(grid):
     got = compute_sff(grid)
     assert_same_bytes(got, sff_heapq_oracle(grid))
     assert got.flags.c_contiguous
+    return got
+
+
+def bucket_sizes(field):
+    """The bucket phase's rounds, read off a finished field.  Round after
+    round the open cells below the smallest open distance plus 1 settle,
+    and they are exactly the unsettled cells whose final distance lies
+    below that bound: their best predecessors settled earlier."""
+    d = np.sort(field[np.isfinite(field)])
+    sizes, k = [], 0
+    while k < d.size:
+        end = int(np.searchsorted(d, d[k] + 1.0))
+        sizes.append(end - k)
+        k = end
+    return sizes
+
+
+def handover_round(sizes):
+    """The round at which compute_sff hands the search to its heap, or
+    None when the bucket phase settles every reachable cell."""
+    small = 0
+    for i, size in enumerate(sizes):
+        small = small + 1 if size < floorfield.FRONTIER_CELLS else 0
+        if small == floorfield.FRONTIER_ROUNDS:
+            return i
+    return None
+
+
+@pytest.mark.parametrize("name, stage", [
+    ("exit_wall", "never"),     # a full column per bucket to the end
+    ("pillars", "never"),       # the fronts narrow only in the last rounds
+    ("serpentine", "warm-up"),  # one or two cells per bucket from the start
+    ("funnel", "mid-run"),      # wide fronts, then a long 1-wide corridor
+])
+def test_sff_matches_heapq_oracle_above_the_gate(name, stage, monkeypatch):
+    # the bucket phase hands over where the rounds read off the field say,
+    # at the smallest open distance of that round
+    handed_over_at = []
+
+    def bucket_phase(dist, *args):
+        open_cells = run_bucket_phase(dist, *args)
+        handed_over_at.append(dist[open_cells].min() if open_cells.size else None)
+        return open_cells
+
+    run_bucket_phase = floorfield._bucket_phase
+    monkeypatch.setattr(floorfield, "_bucket_phase", bucket_phase)
+    grid = LARGE_ROOMS[name]()
+    assert (grid.height + 2) * (grid.width + 2) >= floorfield.BUCKET_MIN_CELLS
+    field = check_sff(grid)
+    sizes = bucket_sizes(field)
+    at = handover_round(sizes)
+    if stage == "never":
+        assert at is None
+        assert handed_over_at == [None]
+        return
+    if stage == "warm-up":
+        assert at == floorfield.FRONTIER_ROUNDS - 1
+    else:
+        assert max(sizes[:at]) >= floorfield.FRONTIER_CELLS
+        assert len(sizes) - at > floorfield.FRONTIER_ROUNDS
+    assert handed_over_at == [np.sort(field[np.isfinite(field)])[sum(sizes[:at])]]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sff_matches_heapq_oracle_on_random_rooms_above_the_gate(seed):
+    # open and enclosed rooms from 64 to 110 cells a side, with 0-45 % walls;
+    # seeds 3 and 4 hand over to the heap, the rest end in the bucket phase
+    rng = np.random.default_rng(1400 + seed)
+    h, w = int(rng.integers(64, 111)), int(rng.integers(64, 111))
+    wall_frac = (0.0, 0.1, 0.2, 0.3, 0.4, 0.45)[seed]
+    check_sff(random_grid(rng, h, w, wall_frac, 1 + seed % 3, enclosed=seed % 2 == 1))
 
 
 @pytest.mark.parametrize("name", sorted(special_grids()))
