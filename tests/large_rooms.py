@@ -1,6 +1,6 @@
 """Large rooms built in code, for the static field's bucket phase.
 
-Each builder is plain arithmetic on the cell coordinates, with no random
+Each room is plain arithmetic on the cell coordinates, with no random
 generator, so the same call gives the same grid on any numpy: their SFF
 bytes are pinned against history in data/large_sff_sha256.json.
 
@@ -61,8 +61,6 @@ def pillars(h=150, w=170):
     i, j = np.indices((h, w))
     walls[(i % 6 == 3) & (j % 7 < 3)] = 1
     walls[(j % 11 == 5) & ((i + 2 * j) % 13 < 5)] = 1
-    walls[0, :] = walls[-1, :] = 1
-    walls[:, 0] = walls[:, -1] = 1
     return _grid(walls, [(i, w - 1) for i in range(h // 3, h // 3 + 5)])
 
 
