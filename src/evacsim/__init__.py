@@ -13,7 +13,7 @@ The package is organised bottom-up:
 
 from .scenario import Grid, ModelParams, Scenario, ScenarioError, parse_scenario
 from .floorfield import compute_sff
-from .engine import SimulationState, initial_state, run, step
+from .engine import SimulationState, initial_state, run, run_batch, step
 from .metrics import SimulationResult
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "SimulationState",
     "initial_state",
     "run",
+    "run_batch",
     "step",
     "SimulationResult",
 ]

@@ -3,9 +3,12 @@
     evacsim run   --scenario room.txt --out results/ --seeds 1,2,3
     evacsim sweep --scenario room.txt --out results/ --sweep k_P=6,18 --seeds 1,2
 
-Exit codes: 0 success, 2 scenario parse or usage error, 3 scenario
-validation failure, 4 I/O failure.  Outputs are deterministic: the same
-invocation writes byte-identical files, whatever --workers says.
+Tasks (one per sweep value and seed) that share a set-up, the grid and
+(k_S, k_W, r), are split into at most --workers contiguous chunks, and
+each chunk is one engine.run_batch in one worker, which writes its tasks'
+files.  Exit codes: 0 success, 2 scenario parse or usage error, 3
+scenario validation failure, 4 I/O failure.  Outputs are deterministic:
+the same invocation writes byte-identical files, whatever --workers says.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
+from itertools import groupby
 from pathlib import Path
 from statistics import mean
 
-from .engine import run
+from .engine import run_batch
 from .floorfield import compute_sff
 from .metrics import export_csv, export_field_csv, render_snapshot
 from .scenario import (
@@ -38,30 +42,35 @@ from .scenario import (
 DEFAULT_SNAPSHOT_STEPS = (25, 65, 135, 165, 180, 225)
 
 
-def _run_entry(scenario: Scenario, out_dir: str, snapshot_steps: tuple[int, ...],
-               capture_step: int | None):
-    """Run one task and write its files; returns (evac_time, spread at snapshot steps)."""
-    result = run(scenario, snapshot_steps=snapshot_steps, capture_step=capture_step)
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "curve.csv", "w", newline="") as f:
-        export_csv(result, f)
-    for t, occ in result.snapshots:
-        text, pgm = render_snapshot(occ, scenario.grid)
-        (out / f"snap_t{t}.txt").write_text(text)
-        (out / f"snap_t{t}.pgm").write_bytes(pgm)
-    if capture_step is not None:
-        with open(out / f"distributions_t{capture_step}.csv", "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["agent", "row", "col", "p_up", "p_right", "p_down", "p_left", "norm_zero"])
-            for aid, (i, j), p, norm_zero in result.captured:
-                w.writerow([aid, i, j, *(repr(float(v)) for v in p), int(norm_zero)])
-            if not result.captured:
-                print(f"note: {f.name} has no rows: the run ended at step {result.curve[-1][0]}",
-                      file=sys.stderr)
-
-    return result.evac_time, {s.step: s.value for s in result.spread if s.step in snapshot_steps}
+def _run_chunk(tasks: list[tuple[Scenario, str]], snapshot_steps: tuple[int, ...],
+               capture_step: int | None) -> list:
+    """Run one chunk of (scenario, output directory) tasks in lockstep and
+    write each task's files; returns (evac_time, spread at snapshot steps)
+    per task."""
+    results = run_batch([sc for sc, _ in tasks], snapshot_steps, capture_step)
+    done = []
+    for (scenario, out_dir), result in zip(tasks, results):
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / "curve.csv", "w", newline="") as f:
+            export_csv(result, f)
+        for t, occ in result.snapshots:
+            text, pgm = render_snapshot(occ, scenario.grid)
+            (out / f"snap_t{t}.txt").write_text(text)
+            (out / f"snap_t{t}.pgm").write_bytes(pgm)
+        if capture_step is not None:
+            with open(out / f"distributions_t{capture_step}.csv", "w", newline="") as f:
+                w = csv.writer(f, lineterminator="\n")
+                w.writerow(["agent", "row", "col", "p_up", "p_right", "p_down", "p_left",
+                            "norm_zero"])
+                for aid, (i, j), p, norm_zero in result.captured:
+                    w.writerow([aid, i, j, *(repr(float(v)) for v in p), int(norm_zero)])
+                if not result.captured:
+                    print(f"note: {f.name} has no rows: the run ended at step "
+                          f"{result.curve[-1][0]}", file=sys.stderr)
+        done.append((result.evac_time,
+                     {s.step: s.value for s in result.spread if s.step in snapshot_steps}))
+    return done
 
 
 def _note_warnings(shown: set, source: str, make):
@@ -172,13 +181,26 @@ def _command(args) -> int:
     scenarios = [replace(scenario, params=p) for _, swept, _ in groups
                  for p in noted("--sweep", lambda: [replace(params, **swept, seed=s) for s in seeds])]
     dirs = [str(out / f"{prefix}s{seed}") for _, _, prefix in groups for seed in seeds]
-    run_one = partial(_run_entry, snapshot_steps=snapshot_steps,
-                      capture_step=args.dump_distributions)
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(run_one, scenarios, dirs))
+    # tasks that share a set-up, in task order, go in at most --workers
+    # contiguous chunks; each chunk is one run_batch
+    chunks = []
+    for _, tasks in groupby(zip(scenarios, dirs),
+                            key=lambda task: (task[0].params.k_s, task[0].params.k_w,
+                                              task[0].params.r)):
+        tasks = list(tasks)
+        n = min(args.workers, len(tasks))
+        chunks += [tasks[i * len(tasks) // n:(i + 1) * len(tasks) // n] for i in range(n)]
+    run_chunk = partial(_run_chunk, snapshot_steps=snapshot_steps,
+                        capture_step=args.dump_distributions)
+    # a pool starts all its processes at once, so it gets no more than
+    # there are chunks
+    workers = min(args.workers, len(chunks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_chunk = list(pool.map(run_chunk, chunks))
     else:
-        results = list(map(run_one, scenarios, dirs))
+        per_chunk = list(map(run_chunk, chunks))
+    results = [task for chunk in per_chunk for task in chunk]
     if args.dump_sff:
         with open(out / "sff.csv", "w", newline="") as f:
             export_field_csv(field, f)

@@ -10,167 +10,217 @@ a uniformly chosen contender does.  All permitted moves then happen at
 once, and whoever stands on an exit cell at the end of the step has left
 the room.
 
-Randomness discipline: the only generator method ever consumed is
-rng.random(), in a fixed order (agents ascending, then conflict cells in
-raster order), so equal seeds give bit-identical runs.
+Randomness discipline: each run owns one PCG64 stream, and the only
+generator method ever consumed is rng.random(), in a fixed order (the
+run's agents ascending, then its conflict cells in raster order), so equal
+seeds give bit-identical runs.
+
+Runs of one grid and one (k_S, k_W, r) advance in lockstep: run_batch
+builds the static field and the TransitionTables once, and each step()
+computes the distributions of the live agents of all runs in one call,
+every row with its own run's k_P.  The row values do not depend on which
+other rows share the call, and each run then makes its own draw scan and
+conflict pass with its own generator, so a run's stream, states and
+result are exactly those it has alone; run() is run_batch of one run.
 
 step() runs as an array kernel that keeps this discipline draw for draw.
 The distributions, the free-neighbour table and the set of drawing agents
 are computed for all agents at once; a scan over plain lists then makes
-the draws in agent order.  It takes its uniforms in blocks, and
+each run's draws in agent order.  It takes its uniforms in blocks, and
 rng.random(m) yields the same doubles as m calls of rng.random(), so a
 block is the stream itself.  A block never holds more draws than are
-certain to be made: m is the number of agents still waiting for their
-first draw (plus one when an agent needs its second), and each of them
-makes at least one.  The generator is therefore never ahead of the scan,
-needs no rewinding, and is left exactly where one call per draw leaves it,
-with its state (the buffered 32-bit half-word included) untouched
-otherwise.  Contested cells then draw one call at a time, in raster order.
+certain to be made: m is the number of the run's agents still waiting for
+their first draw (plus one when an agent needs its second), and each of
+them makes at least one.  The generator is therefore never ahead of the
+scan, needs no rewinding, and is left exactly where one call per draw
+leaves it, with its state (the buffered 32-bit half-word included)
+untouched otherwise.  Contested cells then draw one call at a time, in
+raster order.
 
-The run state says where each agent stands in one form only: ids ascending
-and, at the same positions, flat row-major cells, the index that
-TransitionTables uses.  Moves and exits are array writes to these and to
-the occupancy; SimulationState.agents derives (id, (i, j)) pairs from them.
+The run state says where each agent stands in one form only: ids and, at
+the same positions, flat cells into the runs' occupancies stacked on the
+row axis.  Moves and exits are array writes to these and to the
+occupancy; SimulationState.agents derives (id, (i, j)) pairs from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
 from .floorfield import compute_sff
-from .metrics import SimulationResult, SpreadSample, exit_axis, spread_metric
-from .scenario import Cell, Grid, ModelParams, Scenario, place
+from .metrics import SimulationResult, SpreadSample, exit_axis, lateral_offsets, spread_metric
+from .scenario import Cell, Grid, Scenario, place
 from .transition import TransitionTables
+
+# run_batch advances its runs in consecutive groups whose stacked
+# occupancies and (4, agents, r) ray gathers hold at most this many cells,
+# so a batch's step memory stays that of one large room, for any run count
+_BATCH_CELLS = 1 << 20
 
 
 @dataclass
 class SimulationState:
-    """Mutable run state; step() returns a new one sharing the generator.
+    """Mutable state of S >= 1 runs of one grid; step() returns a new one
+    sharing the generators.
 
-    ids (ascending) and cells are int64 arrays of one entry per agent in
-    the room: cells[k] is agent ids[k]'s flat row-major cell, i * width + j,
-    and occupancy is 1 exactly there.
+    occupancy stacks the runs' (height, width) occupancies on the row
+    axis: run s owns rows s * height to (s + 1) * height, and S = 1 is a
+    single room.  ids and cells are int64 arrays of one entry per agent in
+    the rooms, run by run and ascending by id within a run: cells[k] is
+    agent ids[k]'s flat row-major cell in the stacked occupancy,
+    (s * height + i) * width + j, and occupancy is 1 exactly there.
+    rngs, k_p and mu hold each run's generator, crowd weight and friction.
     """
 
     occupancy: np.ndarray
     ids: np.ndarray
     cells: np.ndarray
     step: int
-    rng: np.random.Generator
+    rngs: list[np.random.Generator]
+    k_p: np.ndarray
+    mu: list[float]
 
     @property
     def agents(self) -> list[tuple[int, Cell]]:
-        """(id, (i, j)) per agent, ascending by id; derived from ids and cells."""
+        """(id, (i, j)) per agent, in ids order; i counts the stacked rows."""
         w = self.occupancy.shape[1]
         return [(aid, divmod(c, w)) for aid, c in zip(self.ids.tolist(), self.cells.tolist())]
 
 
-def initial_state(scenario: Scenario) -> SimulationState:
-    """State at step 0.  Agent ids follow the scenario's raster order.
+def initial_state(*scenarios: Scenario) -> SimulationState:
+    """State at step 0 of one run per scenario, all on scenarios[0]'s grid
+    (run_batch checks that they share it).  Agent ids follow each
+    scenario's raster order.
 
     Raises ValueError with scenario.place's first message for an agent that
     breaks its rule: no run can place it.  An agent with no path to an exit
     is placed, and stays where it is.
     """
-    grid = scenario.grid
-    cells, problems = place(grid.walls, scenario.initial_agents)
-    if problems:
-        raise ValueError(problems[0])
-    occ = np.zeros((grid.height, grid.width), dtype=np.uint8)
+    grid = scenarios[0].grid
+    size = grid.height * grid.width
+    ids, cells = [], []
+    for s, scenario in enumerate(scenarios):
+        placed, problems = place(grid.walls, scenario.initial_agents)
+        if problems:
+            raise ValueError(problems[0])
+        ids.append(np.arange(placed.size, dtype=np.int64))
+        cells.append(placed + s * size)
+    cells = np.concatenate(cells)
+    occ = np.zeros((len(scenarios) * grid.height, grid.width), dtype=np.uint8)
     occ.reshape(-1)[cells] = 1
-    ids = np.arange(cells.size, dtype=np.int64)
-    rng = np.random.Generator(np.random.PCG64(scenario.params.seed))
-    return SimulationState(occupancy=occ, ids=ids, cells=cells, step=0, rng=rng)
+    return SimulationState(
+        occupancy=occ, ids=np.concatenate(ids), cells=cells, step=0,
+        rngs=[np.random.Generator(np.random.PCG64(sc.params.seed)) for sc in scenarios],
+        k_p=np.array([sc.params.k_p for sc in scenarios], dtype=np.float64),
+        mu=[sc.params.mu for sc in scenarios],
+    )
 
 
-def step(
-    state: SimulationState,
-    grid: Grid,
-    params: ModelParams,
-    tables: TransitionTables,
-) -> SimulationState:
-    """Advance one step; returns the new state (occupancy copied, rng shared).
+def step(state: SimulationState, grid: Grid, tables: TransitionTables) -> SimulationState:
+    """Advance every run one step; returns the new state (occupancy copied,
+    generators shared).
 
-    tables are the grid's TransitionTables for params' (k_S, k_W, r).
+    tables are the grid's TransitionTables for the runs' (k_S, k_W, r).
     Agents already standing on an exit (possible only by initial
     placement) propose to stay and are removed at the end of the step like
     everyone else who reaches a door.
     """
     occ = state.occupancy
     cells = state.cells
-    rng = state.rng
-    p, norm_zero = tables.distributions(occ, cells, params.k_p)
+    size = grid.height * grid.width
+    rooms = len(state.rngs)
+    # local: each agent's cell in its own room, the index the tables use;
+    # base: where that room starts in the stack.  One room is the whole
+    # stack, so it needs neither, nor a k_P per agent.
+    if rooms == 1:
+        local, k_p = cells, float(state.k_p[0])
+    else:
+        run = cells // size
+        base = run * size
+        local = cells - base
+        k_p = state.k_p.take(run)
+    p, norm_zero = tables.distributions(occ, local, k_p, cells)
     # per agent and direction: the neighbour cell if it is free in the
     # snapshot, else -1.  Blocked directions hold the agent's own (occupied)
     # cell in tables.nbr and have p = 0, so they are never drawn.
-    nbr = tables.nbr.take(cells, axis=1)
+    nbr = tables.nbr.take(local, axis=1)
+    if rooms > 1:
+        nbr += base
     free = np.where(occ.reshape(-1)[nbr] != 0, -1, nbr).T.ravel().tolist()
     prob = p.ravel().tolist()
     on_exit = grid.exit_mask.reshape(-1)
-    drawing = np.flatnonzero(~(norm_zero | on_exit[cells])).tolist()
+    drawing = np.flatnonzero(~(norm_zero | on_exit[local]))
+    # run s's drawing agents are drawing[starts[s]:starts[s + 1]]
+    starts = ([0, drawing.size] if rooms == 1
+              else np.searchsorted(run[drawing], np.arange(rooms + 1)).tolist())
+    drawing = drawing.tolist()
 
-    # the draw scan: agents ascending, one draw each and a second one after
-    # a hit on an occupied cell; u is refilled with as many draws as are
-    # certain to be made, so the generator never runs ahead of the scan
+    # the draw scan: per run, agents ascending, one draw each and a second
+    # one after a hit on an occupied cell; u is refilled with as many draws
+    # as are certain to be made, so the generator never runs ahead of the scan
     claims: dict[int, list[int]] = {}
-    u: list[float] = []
-    used = 0
-    left = len(drawing)  # agents whose first draw is still to come
-    for k in drawing:
-        if used == len(u):
-            u = rng.random(left).tolist()
-            used = 0
-        x = u[used]
-        used += 1
-        left -= 1
-        b = 4 * k
-        acc = 0.0
-        for d in range(b, b + 4):
-            acc += prob[d]
-            if x < acc:
-                break
-        else:
-            # rounding left the total a hair under 1 and x landed past it
-            d = max(dd for dd in range(b, b + 4) if prob[dd] > 0.0)
-        t = free[d]
-        if t < 0:
-            # patience: occupied directions hand their mass to staying put
+    for rng, lo, hi in zip(state.rngs, starts, starts[1:]):
+        u: list[float] = []
+        used = 0
+        left = hi - lo  # the run's agents whose first draw is still to come
+        for k in drawing[lo:hi]:
             if used == len(u):
-                u = rng.random(left + 1).tolist()
+                u = rng.random(left).tolist()
                 used = 0
             x = u[used]
             used += 1
+            left -= 1
+            b = 4 * k
             acc = 0.0
             for d in range(b, b + 4):
-                t = free[d]
-                if t >= 0:
-                    acc += prob[d]
-                    if x < acc:
-                        break
+                acc += prob[d]
+                if x < acc:
+                    break
             else:
-                continue
-        claims.setdefault(t, []).append(k)
+                # rounding left the total a hair under 1 and x landed past it
+                d = max(dd for dd in range(b, b + 4) if prob[dd] > 0.0)
+            t = free[d]
+            if t < 0:
+                # patience: occupied directions hand their mass to staying put
+                if used == len(u):
+                    u = rng.random(left + 1).tolist()
+                    used = 0
+                x = u[used]
+                used += 1
+                acc = 0.0
+                for d in range(b, b + 4):
+                    t = free[d]
+                    if t >= 0:
+                        acc += prob[d]
+                        if x < acc:
+                            break
+                else:
+                    continue
+            claims.setdefault(t, []).append(k)
 
-    # friction: contested cells in raster order (ascending flat index)
+    # friction: contested cells in raster order (ascending flat index), so
+    # run by run, each with its own generator and mu
     movers: list[int] = []
     targets: list[int] = []
-    mu = params.mu
     for t in sorted(claims):
         group = claims[t]
         if len(group) > 1:
-            if rng.random() < mu:
+            s = t // size
+            rng = state.rngs[s]
+            if rng.random() < state.mu[s]:
                 continue
-            size = len(group)
-            movers.append(group[min(int(rng.random() * size), size - 1)])
+            n = len(group)
+            movers.append(group[min(int(rng.random() * n), n - 1)])
         else:
             movers.append(group[0])
         targets.append(t)
 
     new_cells = cells.copy()
     new_cells[movers] = targets
-    keep = ~on_exit[new_cells]
+    keep = ~on_exit[new_cells if rooms == 1 else new_cells - base]
     new_cells = new_cells[keep]
     new_occ = occ.copy()
     flat = new_occ.reshape(-1)
@@ -184,7 +234,91 @@ def step(
             f"agent list {new_cells.size}"
         )
     return SimulationState(occupancy=new_occ, ids=state.ids[keep], cells=new_cells,
-                           step=state.step + 1, rng=rng)
+                           step=state.step + 1, rngs=state.rngs, k_p=state.k_p, mu=state.mu)
+
+
+def run_batch(
+    scenarios: list[Scenario],
+    snapshot_steps: tuple[int, ...] = (),
+    capture_step: int | None = None,
+) -> list[SimulationResult]:
+    """Run validated scenarios of one grid and one (k_S, k_W, r) in lockstep.
+
+    Returns one result per scenario, in order, each equal to the scenario's
+    run() alone.  Raises ValueError when the scenarios do not share the
+    grid or the set-up parameters.  Each run stops on its own, at
+    evacuation or at its max_steps; seed, k_P and mu are its own too.
+    """
+    grid, params = scenarios[0].grid, scenarios[0].params
+    for sc in scenarios:
+        if sc.grid is not grid and sc.grid != grid:
+            raise ValueError("run_batch needs one grid for all scenarios")
+        if (sc.params.k_s, sc.params.k_w, sc.params.r) != (params.k_s, params.k_w, params.r):
+            raise ValueError("run_batch needs one (k_S, k_W, r) for all scenarios")
+    tables = TransitionTables(compute_sff(grid), grid, params)
+    per_run = grid.height * grid.width + 4 * params.r * max(len(sc.initial_agents)
+                                                            for sc in scenarios)
+    group = max(1, _BATCH_CELLS // per_run)
+    results = []
+    for lo in range(0, len(scenarios), group):
+        results += _lockstep(scenarios[lo:lo + group], tables, snapshot_steps, capture_step)
+    return results
+
+
+def _lockstep(scenarios, tables, snapshot_steps, capture_step) -> list[SimulationResult]:
+    """run_batch's loop over one group of runs, set-up given."""
+    grid = scenarios[0].grid
+    h, w = grid.height, grid.width
+    size = h * w
+    state = initial_state(*scenarios)
+    axis = exit_axis(grid)
+    # the spread's offsets per cell, repeated for each room of the stack
+    offsets = None if axis is None else np.tile(lateral_offsets(axis, h, w), len(scenarios))
+    wanted = set(snapshot_steps)
+    results = [SimulationResult(curve=[], evac_time=None) for _ in scenarios]
+    live = list(range(len(scenarios)))
+    while True:
+        # every state a run reaches, step 0 included, is recorded here
+        counts = ([state.cells.size] if len(scenarios) == 1
+                  else np.bincount(state.cells // size, minlength=len(scenarios)).tolist())
+        ends = list(accumulate(counts))
+        ended = set()
+        for s in live:
+            res, n = results[s], counts[s]
+            res.curve.append((state.step, n))
+            if state.step in wanted:
+                res.snapshots.append((state.step, state.occupancy[s * h:(s + 1) * h].copy()))
+            if offsets is not None and n:
+                cells = state.cells[ends[s] - n:ends[s]]
+                res.spread.append(SpreadSample(state.step, spread_metric(offsets, cells)))
+            if not n:
+                # the empty room is absorbing, so later configured snapshots
+                # are well-defined; an incomplete run gets no such padding
+                res.evac_time = state.step
+                res.snapshots += [(t, np.zeros((h, w), dtype=np.uint8))
+                                  for t in sorted(wanted) if t > state.step]
+                ended.add(s)
+            elif state.step >= scenarios[s].params.max_steps:
+                ended.add(s)
+        if ended:
+            live = [s for s in live if s not in ended]
+            # runs stopped at max_steps leave the stack: no more steps or draws
+            keep = np.ones(state.cells.size, dtype=bool)
+            for s in ended:
+                keep[ends[s] - counts[s]:ends[s]] = False
+                state.occupancy[s * h:(s + 1) * h] = 0
+            state = replace(state, ids=state.ids[keep], cells=state.cells[keep])
+        if not live:
+            return results
+        if state.step == capture_step:
+            run, local = np.divmod(state.cells, size)
+            p_rows, norm_zero = tables.distributions(state.occupancy, local,
+                                                     state.k_p.take(run), state.cells)
+            for k, (aid, s, cell) in enumerate(zip(state.ids.tolist(), run.tolist(),
+                                                   local.tolist())):
+                results[s].captured.append((aid, divmod(cell, w), p_rows[k].copy(),
+                                            bool(norm_zero[k])))
+        state = step(state, grid, tables)
 
 
 def run(
@@ -200,44 +334,4 @@ def run(
     agent's transition distribution as evaluated at that step, i.e. the one
     the draws at that step actually used.
     """
-    grid = scenario.grid
-    params = scenario.params
-    field = compute_sff(grid)
-    tables = TransitionTables(field, grid, params)
-    state = initial_state(scenario)
-    axis = exit_axis(grid)
-    wanted = set(snapshot_steps)
-
-    curve: list[tuple[int, int]] = []
-    snapshots: list[tuple[int, np.ndarray]] = []
-    spread: list[SpreadSample] = []
-    captured: list[tuple[int, Cell, np.ndarray, bool]] = []
-    while True:
-        # every state the run reaches, step 0 included, is recorded here
-        curve.append((state.step, state.cells.size))
-        if state.step in wanted:
-            snapshots.append((state.step, state.occupancy.copy()))
-        if axis is not None and state.cells.size:
-            spread.append(SpreadSample(state.step, spread_metric(state, axis)))
-        if not state.cells.size or state.step >= params.max_steps:
-            break
-        if state.step == capture_step:
-            p_rows, norm_zero = tables.distributions(state.occupancy, state.cells, params.k_p)
-            for k, (aid, cell) in enumerate(state.agents):
-                captured.append((aid, cell, p_rows[k].copy(), bool(norm_zero[k])))
-        state = step(state, grid, params, tables)
-
-    evac_time = state.step if not state.cells.size else None
-    if evac_time is not None:
-        # the empty room is absorbing, so later configured snapshots are
-        # well-defined; an incomplete run gets no such padding
-        for t in sorted(wanted):
-            if t > state.step:
-                snapshots.append((t, state.occupancy.copy()))
-    return SimulationResult(
-        curve=curve,
-        evac_time=evac_time,
-        snapshots=snapshots,
-        spread=spread,
-        captured=captured,
-    )
+    return run_batch([scenario], snapshot_steps, capture_step)[0]

@@ -81,22 +81,27 @@ def exit_axis(grid: Grid) -> ExitAxis | None:
     return None
 
 
-def spread_metric(state, axis: ExitAxis) -> float:
+def lateral_offsets(axis: ExitAxis, height: int, width: int) -> np.ndarray:
+    """Each cell's absolute lateral offset from the exit axis, flat row-major."""
+    cells = np.arange(height * width)
+    coords = cells // width if axis.axis == "row" else cells % width
+    # integers are exact in float64, so the offsets are those of float
+    # coordinates
+    return np.abs(coords - axis.coordinate)
+
+
+def spread_metric(offsets: np.ndarray, cells: np.ndarray) -> float:
     """Mean absolute lateral offset of the remaining crowd from the exit axis.
 
-    state needs `cells`, the agents' flat row-major cells, and an
-    `occupancy` whose shape gives the width.  Undefined for an empty room;
-    callers stop sampling once everyone is out.
+    offsets are lateral_offsets' table, cells the agents' flat indices into
+    it.  Undefined for an empty room; callers stop sampling once everyone
+    is out.
     """
-    cells = state.cells
     if not cells.size:
         raise ValueError("spread is undefined for an empty room")
-    w = state.occupancy.shape[1]
-    coords = cells // w if axis.axis == "row" else cells % w
-    # integers are exact in float64, so the offsets are those of float
-    # coordinates; the add.reduce and divide of ndarray.mean, without its
-    # Python-level wrapper
-    return float(np.abs(coords - axis.coordinate).sum() / coords.size)
+    # the add.reduce and divide of ndarray.mean, without its Python-level
+    # wrapper
+    return float(offsets.take(cells).sum() / cells.size)
 
 
 def render_snapshot(occupancy: np.ndarray, grid: Grid) -> tuple[str, bytes]:

@@ -118,8 +118,15 @@ class TransitionTables:
         self.w_rows = np.tile(np.where(past, 0.0, phi), (4, 1))
         self.div_rows = np.tile(np.maximum(rs, 1).astype(np.float64), 4)
 
-    def distributions(self, occupancy: np.ndarray, cells_flat: np.ndarray, k_p: float):
+    def distributions(self, occupancy: np.ndarray, cells_flat: np.ndarray,
+                      k_p: float | np.ndarray, slots: np.ndarray | None = None):
         """Distributions of the flat cells against occupancy, crowd weight k_p.
+
+        occupancy may stack rooms of this grid on its row axis, as
+        engine.SimulationState does: slots then index the cells in the
+        stack (by default they are cells_flat), rays stay in their own
+        room, and k_p is a float or one per cell (the same multiply either
+        way).
 
         Returns (p, norm_zero): p is (n, 4) rows summing to 1 (all-zero where
         norm_zero), norm_zero is (n,) bool.
@@ -132,7 +139,7 @@ class TransitionTables:
         """
         key = self.row_key.take(cells_flat, axis=1)
         ray = self.off_rows.take(key, axis=0)
-        ray += cells_flat[:, None]
+        ray += (cells_flat if slots is None else slots)[:, None]
         crowd = (occupancy.reshape(-1).take(ray) * self.w_rows.take(key, axis=0)).sum(axis=2)
         # crowd >= 0 (occupancy and kernel weights are), so of the clamp to
         # [0, 1] only the upper bound can bind

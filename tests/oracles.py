@@ -39,11 +39,10 @@ test it and the scalar path share.
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from evacsim.engine import SimulationState
 from evacsim.scenario import (
     AGENT_GLYPH,
     DIR_OFFSETS,
@@ -339,7 +338,8 @@ def resolve_conflicts(proposals, mu, rng):
 
 
 def oracle_step(state, grid, params, tables):
-    """One step from the scalar pieces above; same contract as engine.step."""
+    """One step of a single run from the scalar pieces above; same contract
+    as engine.step on a state of one run."""
     occ = state.occupancy
     exit_mask = grid.exit_mask
     w = grid.width
@@ -354,9 +354,9 @@ def oracle_step(state, grid, params, tables):
             proposals.append(Proposal(aid, cell, cell))
             continue
         dist = TransitionDistribution(p=p_rows[k], norm_zero=bool(norm_zero[k]))
-        proposals.append(choose_target(aid, cell, dist, occ, state.rng))
+        proposals.append(choose_target(aid, cell, dist, occ, state.rngs[0]))
 
-    moves = resolve_conflicts(proposals, params.mu, state.rng)
+    moves = resolve_conflicts(proposals, params.mu, state.rngs[0])
 
     new_occ = occ.copy()
     moved = {}
@@ -377,8 +377,7 @@ def oracle_step(state, grid, params, tables):
         raise RuntimeError("occupancy and agent list disagree")
     ids = np.array([aid for aid, _ in agents], dtype=np.int64)
     cells = np.array([i * w + j for _, (i, j) in agents], dtype=np.int64)
-    return SimulationState(occupancy=new_occ, ids=ids, cells=cells, step=state.step + 1,
-                           rng=state.rng)
+    return replace(state, occupancy=new_occ, ids=ids, cells=cells, step=state.step + 1)
 
 
 # -- the scalar reference path: one cell, one direction at a time ---------

@@ -390,7 +390,7 @@ def test_criterion_5_conservation_and_determinism():
         prev = dict(state.agents)
         count = len(state.agents)
         while state.agents and state.step < params.max_steps:
-            state = step(state, grid, params, tables)
+            state = step(state, grid, tables)
             assert len(state.agents) <= count
             count = len(state.agents)
             assert int(state.occupancy.sum()) == count

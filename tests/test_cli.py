@@ -6,11 +6,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR, scenario_text, src_env
+from evacsim import cli
 from evacsim.cli import main
+from evacsim.engine import run_batch
 
 ROOM = """
 ########
@@ -286,20 +288,75 @@ def test_workers_do_not_change_bytes(corridor_file, tmp_path):
 
 @settings(max_examples=10, deadline=None)
 @given(
-    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3, unique=True),
-    k_p=st.lists(st.integers(0, 60), min_size=2, max_size=2, unique=True),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5, unique=True),
+    key=st.sampled_from(["k_P", "k_W", "r"]),
+    values=st.lists(st.integers(0, 60), min_size=2, max_size=2, unique=True),
 )
-def test_workers_do_not_change_bytes_property(seeds, k_p):
-    # any seed list and swept k_P pair on corridor30: one worker and two
-    # workers write the same tree, byte for byte
+@example(seeds=[1, 2, 3], key="r", values=[2, 9])
+@example(seeds=[1, 2, 3, 4, 5], key="k_P", values=[12, 36])
+def test_workers_do_not_change_bytes_property(seeds, key, values):
+    # any seed list and swept pair on corridor30: one, two and three
+    # workers write the same tree, byte for byte.  A k_W or r sweep gives
+    # each value a set-up of its own, and a seed count the worker count
+    # does not divide gives chunks of unequal size.
+    swept = [str(v + 1) if key == "r" else str(v / 2) for v in values]
     argv = ["sweep", "--scenario", str(SCENARIO_DIR / "corridor30.txt"),
-            "--sweep", "k_P=" + ",".join(str(v / 2) for v in k_p),
-            "--seeds", ",".join(map(str, seeds))]
+            "--sweep", f"{key}=" + ",".join(swept), "--seeds", ",".join(map(str, seeds))]
     with tempfile.TemporaryDirectory() as tmp:
-        serial, parallel = Path(tmp) / "w1", Path(tmp) / "w2"
-        assert main(argv + ["--out", str(serial), "--workers", "1"]) == 0
-        assert main(argv + ["--out", str(parallel), "--workers", "2"]) == 0
-        assert tree_bytes(serial) == tree_bytes(parallel)
+        trees = []
+        for workers in (1, 2, 3):
+            out = Path(tmp) / f"w{workers}"
+            assert main(argv + ["--out", str(out), "--workers", str(workers)]) == 0
+            trees.append(tree_bytes(out))
+        assert trees[1] == trees[0] and trees[2] == trees[0]
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for
+    and maps in this process, so no worker process starts."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "workers, tail, chunks",
+    [(10000, ["--seeds", "1,2"], [1, 1]),
+     (2, ["--seeds", "1,2,3", "--sweep", "r=3,10"], [1, 2, 1, 2]),
+     (2, ["--seeds", "1,2,3", "--sweep", "k_P=6,18"], [3, 3])],
+    ids=["ten_thousand_workers", "setup_per_value", "one_setup"],
+)
+def test_pool_is_no_larger_than_the_chunk_count(monkeypatch, corridor_file, tmp_path, workers,
+                                                tail, chunks):
+    # a pool of --workers 10000 would fork 10000 processes at its first task
+    batches = []
+
+    def recording_batch(scenarios, *args):
+        batches.append([(sc.params.k_s, sc.params.k_w, sc.params.r) for sc in scenarios])
+        return run_batch(scenarios, *args)
+
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "run_batch", recording_batch)
+    command = "sweep" if "--sweep" in tail else "run"
+    assert main([command, "--scenario", str(corridor_file), "--out", str(tmp_path / "o"),
+                 "--workers", str(workers), *tail]) == 0
+    assert RecordingPool.sizes == [min(workers, len(chunks))]
+    assert RecordingPool.sizes[0] <= len(batches)
+    assert [len(b) for b in batches] == chunks
+    # a chunk never spans two set-ups
+    assert all(len(set(b)) == 1 for b in batches)
 
 
 def test_dump_sff_matches_direct_computation(room_file, tmp_path):

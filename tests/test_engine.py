@@ -159,7 +159,7 @@ def test_step_vacated_cell_not_enterable_same_step():
     sc = make_scenario("######\n#E.PP#\n######", k_S="100.0", k_W="100.0")
     field = compute_sff(sc.grid)
     state = initial_state(sc)
-    out = step(state, sc.grid, sc.params, TransitionTables(field, sc.grid, sc.params))
+    out = step(state, sc.grid, TransitionTables(field, sc.grid, sc.params))
     cells = {cell for _, cell in out.agents}
     assert cells == {(1, 2), (1, 4)}
 
@@ -169,7 +169,7 @@ def test_step_agent_reaching_exit_removed_same_step():
     sc = make_scenario("####\n#PE#\n####", k_S="100.0", k_W="100.0")
     field = compute_sff(sc.grid)
     state = initial_state(sc)
-    out = step(state, sc.grid, sc.params, TransitionTables(field, sc.grid, sc.params))
+    out = step(state, sc.grid, TransitionTables(field, sc.grid, sc.params))
     assert out.agents == []
     assert out.occupancy.sum() == 0
 
@@ -179,7 +179,7 @@ def test_step_agent_starting_on_exit_removed():
     bad = Scenario(grid=sc.grid, initial_agents=((1, 2),), params=sc.params)
     state = initial_state(bad)
     field = compute_sff(sc.grid)
-    out = step(state, sc.grid, sc.params, TransitionTables(field, sc.grid, sc.params))
+    out = step(state, sc.grid, TransitionTables(field, sc.grid, sc.params))
     assert out.agents == [] and out.step == 1
 
 
@@ -245,7 +245,7 @@ def test_step_raises_on_occupancy_desync():
     state = initial_state(sc)
     state.occupancy[2, 3] = 1
     with pytest.raises(RuntimeError, match="occupancy holds 2 people, agent list 1"):
-        step(state, sc.grid, sc.params, TransitionTables(compute_sff(sc.grid), sc.grid, sc.params))
+        step(state, sc.grid, TransitionTables(compute_sff(sc.grid), sc.grid, sc.params))
     if not sys.flags.optimize:
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
@@ -259,7 +259,7 @@ def test_step_empty_room_only_increments():
     sc = make_scenario("####\n#.E#\n####")
     state = initial_state(sc)
     field = compute_sff(sc.grid)
-    out = step(state, sc.grid, sc.params, TransitionTables(field, sc.grid, sc.params))
+    out = step(state, sc.grid, TransitionTables(field, sc.grid, sc.params))
     assert out.step == 1 and out.agents == []
     assert np.array_equal(out.occupancy, state.occupancy)
 
@@ -330,7 +330,7 @@ def test_run_conservation_invariants_stepwise():
     prev = dict(state.agents)
     count = len(state.agents)
     for _ in range(40):
-        state = step(state, sc.grid, sc.params, tables)
+        state = step(state, sc.grid, tables)
         assert len(state.agents) <= count
         count = len(state.agents)
         assert int(state.occupancy.sum()) == count
@@ -391,7 +391,7 @@ def test_random_rooms_conserve_agents(room_seed, shape, wall_frac, density, k_s,
         if not cells.size or state.step == params.max_steps:
             break
         prev, prev_occ = dict(zip(ids.tolist(), cells.tolist())), occ
-        state = step(state, grid, params, tables)
+        state = step(state, grid, tables)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

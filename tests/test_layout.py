@@ -7,7 +7,10 @@ called by Python itself, and _-prefixed names are private).
 Reference code that only tests call belongs in tests/oracles.py.  The
 package holds no assert statements: python -O strips them, so its
 invariants raise real errors.  No module imports another's _-prefixed
-(private) name; a rule two modules need is public in one of them.
+(private) name; a rule two modules need is public in one of them.  Every
+name a module other than __init__.py imports is used in it: a leftover
+import keeps a dead binding that tools reading the module take for a live
+one.
 """
 
 import ast
@@ -82,4 +85,23 @@ def test_no_private_imports_across_src_modules():
         for alias in node.names
         if alias.name.startswith("_")
     ]
+    assert found == []
+
+
+def test_no_unused_imports_in_src():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's exports
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []

@@ -16,18 +16,17 @@ from evacsim.metrics import (
     exit_axis,
     export_csv,
     export_field_csv,
+    lateral_offsets,
     render_snapshot,
     spread_metric,
 )
 from oracles import parse_snapshot
 
 
-class FakeState:
-    """What spread_metric reads: flat cells on a 300-wide occupancy."""
-
-    def __init__(self, cells):
-        self.occupancy = np.zeros((300, 300), dtype=np.uint8)
-        self.cells = np.array([i * 300 + j for i, j in cells], dtype=np.int64)
+def spread_of(cells, ax):
+    """spread_metric of (i, j) cells on a 300 x 300 grid."""
+    flat = np.array([i * 300 + j for i, j in cells], dtype=np.int64)
+    return spread_metric(lateral_offsets(ax, 300, 300), flat)
 
 
 def occ_of(grid, cells):
@@ -71,16 +70,16 @@ def test_spread_metric_hand_values():
     ax = exit_axis(sc.grid)  # exit at row 1, column wall
     assert ax.axis == "row" and ax.coordinate == 1.0
     # rows 1 and 3: offsets 0 and 2, mean 1.0
-    assert spread_metric(FakeState([(1, 1), (3, 1)]), ax) == pytest.approx(1.0)
-    assert spread_metric(FakeState([(1, 1)]), ax) == 0.0
+    assert spread_of([(1, 1), (3, 1)], ax) == pytest.approx(1.0)
+    assert spread_of([(1, 1)], ax) == 0.0
     with pytest.raises(ValueError):
-        spread_metric(FakeState([]), ax)
+        spread_of([], ax)
 
 
 def test_spread_metric_col_axis_uses_columns():
     sc = make_scenario("#####\n#EE.#\n#...#\n#####")
     ax = exit_axis(sc.grid)
-    assert spread_metric(FakeState([(2, 1), (2, 3)]), ax) == pytest.approx(1.0)
+    assert spread_of([(2, 1), (2, 3)], ax) == pytest.approx(1.0)
 
 
 def test_spread_metric_equals_ndarray_mean():
@@ -89,13 +88,14 @@ def test_spread_metric_equals_ndarray_mean():
     # sum rounds and a different summation order would show
     rng = np.random.default_rng(3)
     for axis, coordinate in (("row", 17.3), ("col", 52 / 3)):
-        ax = ExitAxis(axis=axis, coordinate=coordinate)
+        offsets = lateral_offsets(ExitAxis(axis=axis, coordinate=coordinate), 300, 300)
         pick = 0 if axis == "row" else 1
         for n in range(1, 1001):
             cells = [tuple(int(x) for x in c) for c in rng.integers(0, 300, size=(n, 2))]
             coords = np.array([c[pick] for c in cells], dtype=np.float64)
             want = float(np.abs(coords - coordinate).mean())
-            assert spread_metric(FakeState(cells), ax) == want
+            flat = np.array([i * 300 + j for i, j in cells], dtype=np.int64)
+            assert spread_metric(offsets, flat) == want
 
 
 def test_render_snapshot_glyphs_and_roundtrip():

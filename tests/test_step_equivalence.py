@@ -35,8 +35,8 @@ def lockstep(scenario: Scenario, max_steps: int | None = None, rng_prep=None) ->
     tables = TransitionTables(field, grid, params)
     a, b = initial_state(scenario), initial_state(scenario)
     if rng_prep is not None:
-        rng_prep(a.rng)
-        rng_prep(b.rng)
+        rng_prep(a.rngs[0])
+        rng_prep(b.rngs[0])
     limit = params.max_steps if max_steps is None else max_steps
     states = [a]
     w = grid.width
@@ -47,11 +47,11 @@ def lockstep(scenario: Scenario, max_steps: int | None = None, rng_prep=None) ->
         assert all(x.tobytes() == y.tobytes() for x, y in zip(fused, split)), (
             f"distributions differ before step {a.step + 1}"
         )
-        a = step(a, grid, params, tables)
+        a = step(a, grid, tables)
         b = oracle_step(b, grid, params, tables)
         assert a.agents == b.agents, f"agents differ after step {a.step}"
         assert np.array_equal(a.occupancy, b.occupancy), f"occupancy differs after step {a.step}"
-        assert a.rng.bit_generator.state == b.rng.bit_generator.state, (
+        assert a.rngs[0].bit_generator.state == b.rngs[0].bit_generator.state, (
             f"generator state differs after step {a.step}"
         )
         assert a.step == b.step
@@ -98,7 +98,7 @@ def test_sealed_agent_draws_nothing():
     assert all((0, (1, 1)) in s.agents for s in states)
     # the sealed agent consumes no draws: the stream matches a room without it
     alone = lockstep(Scenario(grid=sc.grid, initial_agents=((1, 4),), params=sc.params))
-    assert states[-1].rng.bit_generator.state == alone[-1].rng.bit_generator.state
+    assert states[-1].rngs[0].bit_generator.state == alone[-1].rngs[0].bit_generator.state
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
@@ -150,7 +150,7 @@ def test_pending_32bit_draw_survives_the_step():
         rng.integers(0, 10, dtype=np.uint32)  # leaves half a 64-bit word buffered
 
     states = lockstep(_with(sc, mu=0.5), max_steps=30, rng_prep=half_word)
-    assert states[-1].rng.bit_generator.state["has_uint32"] == 1
+    assert states[-1].rngs[0].bit_generator.state["has_uint32"] == 1
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -214,8 +214,9 @@ def test_draw_past_rounded_total_takes_last_positive_direction():
     cell = (int(i), int(j))
     top = float(np.nextafter(1.0, 0.0))
     moved = []
-    for advance in (step, oracle_step):
+    for advance in (lambda st: step(st, grid, tables),
+                    lambda st: oracle_step(st, grid, sc.params, tables)):
         state = initial_state(Scenario(grid=grid, initial_agents=(cell,), params=sc.params))
-        state.rng = QueuedUniforms([top])
-        moved.append(advance(state, grid, sc.params, tables).agents)
+        state.rngs = [QueuedUniforms([top])]
+        moved.append(advance(state).agents)
     assert moved[0] == moved[1] == [(0, (cell[0] + 1, cell[1]))]  # down, the last positive
