@@ -3,12 +3,12 @@
     evacsim run   --scenario room.txt --out results/ --seeds 1,2,3
     evacsim sweep --scenario room.txt --out results/ --sweep k_P=6,18 --seeds 1,2
 
-Tasks (one per sweep value and seed) that share a set-up, the grid and
-(k_S, k_W, r), are split into at most --workers contiguous chunks, and
-each chunk is one engine.run_batch in one worker, which writes its tasks'
-files.  Exit codes: 0 success, 2 scenario parse or usage error, 3
-scenario validation failure, 4 I/O failure.  Outputs are deterministic:
-the same invocation writes byte-identical files, whatever --workers says.
+The tasks (one per sweep value and seed) are split, in task order, into
+at most --workers contiguous chunks, and each chunk is one
+engine.run_batch in one worker, which writes its tasks' files.  Exit
+codes: 0 success, 2 scenario parse or usage error, 3 scenario validation
+failure, 4 I/O failure.  Outputs are deterministic: the same invocation
+writes byte-identical files, whatever --workers says.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
-from itertools import groupby
 from pathlib import Path
 from statistics import mean
 
@@ -159,8 +158,10 @@ def _command(args) -> int:
             raise ScenarioError(f"--sweep key must be one of {', '.join(PARAM_KEYS)}, got {param!r}")
         if param == "seed":
             raise ScenarioError("cannot sweep seed; use --seeds")
-        groups = [([param, v], {PARAM_ATTRS[param]: parse_param(param, v)}, f"p{v}_")
-                  for v in _parse_list(raw_values, "--sweep", str)]
+        # values compare as parsed (6 and 6.0 are one); each keeps its text
+        values = _parse_list(raw_values, "--sweep", partial(parse_param, param))
+        groups = [([param, v], {PARAM_ATTRS[param]: value}, f"p{v}_")
+                  for v, value in zip(_parse_list(raw_values, "--sweep", str), values)]
 
     noted = partial(_note_warnings, set())
     # latin-1 decodes any byte, so a non-ASCII file meets parse_scenario's rule
@@ -181,22 +182,16 @@ def _command(args) -> int:
     scenarios = [replace(scenario, params=p) for _, swept, _ in groups
                  for p in noted("--sweep", lambda: [replace(params, **swept, seed=s) for s in seeds])]
     dirs = [str(out / f"{prefix}s{seed}") for _, _, prefix in groups for seed in seeds]
-    # tasks that share a set-up, in task order, go in at most --workers
-    # contiguous chunks; each chunk is one run_batch
-    chunks = []
-    for _, tasks in groupby(zip(scenarios, dirs),
-                            key=lambda task: (task[0].params.k_s, task[0].params.k_w,
-                                              task[0].params.r)):
-        tasks = list(tasks)
-        n = min(args.workers, len(tasks))
-        chunks += [tasks[i * len(tasks) // n:(i + 1) * len(tasks) // n] for i in range(n)]
+    # the tasks, in task order, go in at most --workers contiguous chunks;
+    # each chunk is one run_batch
+    tasks = list(zip(scenarios, dirs))
+    n = min(args.workers, len(tasks))
+    chunks = [tasks[i * len(tasks) // n:(i + 1) * len(tasks) // n] for i in range(n)]
     run_chunk = partial(_run_chunk, snapshot_steps=snapshot_steps,
                         capture_step=args.dump_distributions)
-    # a pool starts all its processes at once, so it gets no more than
-    # there are chunks
-    workers = min(args.workers, len(chunks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a pool starts all its processes at once, so it gets one per chunk
+    if n > 1:
+        with ProcessPoolExecutor(max_workers=n) as pool:
             per_chunk = list(pool.map(run_chunk, chunks))
     else:
         per_chunk = list(map(run_chunk, chunks))

@@ -15,13 +15,14 @@ generator method ever consumed is rng.random(), in a fixed order (the
 run's agents ascending, then its conflict cells in raster order), so equal
 seeds give bit-identical runs.
 
-Runs of one grid and one (k_S, k_W, r) advance in lockstep: run_batch
-builds the static field and the TransitionTables once, and each step()
-computes the distributions of the live agents of all runs in one call,
-every row with its own run's k_P.  The row values do not depend on which
-other rows share the call, and each run then makes its own draw scan and
-conflict pass with its own generator, so a run's stream, states and
-result are exactly those it has alone; run() is run_batch of one run.
+Runs of one grid advance in lockstep: run_batch computes the static field
+once, builds TransitionTables once per stretch of consecutive runs with
+one (k_S, k_W, r), and each step() computes the distributions of the live
+agents of such a stretch in one call, every row with its own run's k_P.
+The row values do not depend on which other rows share the call, and each
+run then makes its own draw scan and conflict pass with its own
+generator, so a run's stream, states and result are exactly those it has
+alone; run() is run_batch of one run.
 
 step() runs as an array kernel that keeps this discipline draw for draw.
 The distributions, the free-neighbour table and the set of drawing agents
@@ -46,7 +47,7 @@ occupancy; SimulationState.agents derives (id, (i, j)) pairs from them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -242,26 +243,28 @@ def run_batch(
     snapshot_steps: tuple[int, ...] = (),
     capture_step: int | None = None,
 ) -> list[SimulationResult]:
-    """Run validated scenarios of one grid and one (k_S, k_W, r) in lockstep.
+    """Run validated scenarios of one grid in lockstep.
 
     Returns one result per scenario, in order, each equal to the scenario's
     run() alone.  Raises ValueError when the scenarios do not share the
-    grid or the set-up parameters.  Each run stops on its own, at
-    evacuation or at its max_steps; seed, k_P and mu are its own too.
+    grid.  The static field is computed once per call, and the
+    TransitionTables once per stretch of consecutive scenarios with equal
+    (k_S, k_W, r), whose runs then step together.  Each run stops on its
+    own, at evacuation or at its max_steps; seed, k_P and mu are its own too.
     """
-    grid, params = scenarios[0].grid, scenarios[0].params
-    for sc in scenarios:
-        if sc.grid is not grid and sc.grid != grid:
-            raise ValueError("run_batch needs one grid for all scenarios")
-        if (sc.params.k_s, sc.params.k_w, sc.params.r) != (params.k_s, params.k_w, params.r):
-            raise ValueError("run_batch needs one (k_S, k_W, r) for all scenarios")
-    tables = TransitionTables(compute_sff(grid), grid, params)
-    per_run = grid.height * grid.width + 4 * params.r * max(len(sc.initial_agents)
-                                                            for sc in scenarios)
-    group = max(1, _BATCH_CELLS // per_run)
+    grid = scenarios[0].grid
+    if any(sc.grid is not grid and sc.grid != grid for sc in scenarios):
+        raise ValueError("run_batch needs one grid for all scenarios")
+    field = compute_sff(grid)
     results = []
-    for lo in range(0, len(scenarios), group):
-        results += _lockstep(scenarios[lo:lo + group], tables, snapshot_steps, capture_step)
+    for (_, _, r), runs in groupby(scenarios, key=lambda sc: (sc.params.k_s, sc.params.k_w,
+                                                               sc.params.r)):
+        runs = list(runs)
+        tables = TransitionTables(field, grid, runs[0].params)
+        per_run = grid.height * grid.width + 4 * r * max(len(sc.initial_agents) for sc in runs)
+        group = max(1, _BATCH_CELLS // per_run)
+        for lo in range(0, len(runs), group):
+            results += _lockstep(runs[lo:lo + group], tables, snapshot_steps, capture_step)
     return results
 
 

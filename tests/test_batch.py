@@ -174,13 +174,39 @@ def test_random_room_batches_match_oracle(room_seed, shape, density, r, runs):
                                     capture_step=1)
 
 
+R3, R10, KS2, KW0 = {"r": 3}, {"r": 10}, {"k_s": 2.0}, {"k_w": 0.0}
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.parametrize("change", [{"k_s": 2.0}, {"k_w": 0.0}, {"r": 3}])
-def test_mixed_setup_parameters_raise(change):
-    sc = parse_scenario((SCENARIO_DIR / "corridor30.txt").read_text())
-    other = replace(sc, params=replace(sc.params, **change))
-    with pytest.raises(ValueError, match=r"one \(k_S, k_W, r\)"):
-        run_batch([sc, other])
+@pytest.mark.parametrize(
+    "path, setups, starts, budget",
+    [(SCENARIO_DIR / "room37x33.txt", [R3, R3, R10, R3], [0, 2, 3], None),
+     (SCENARIO_DIR / "room37x33.txt", [KS2, KS2, KW0, KW0], [0, 2], None),
+     (CORPUS / "serpentine.txt", [R3, {**R3, **KS2}, R10, R3], [0, 1, 2, 3], None),
+     (CORPUS / "serpentine.txt", [KW0, KW0, KW0, R3, R3], [0, 3], 1)],
+    ids=["paper_interleaved", "paper_contiguous", "serpentine_interleaved",
+         "serpentine_groups"],
+)
+def test_mixed_setups_in_one_batch(monkeypatch, path, setups, starts, budget):
+    # run k takes setups[k]; starts: the runs that begin a stretch of one
+    # (k_S, k_W, r); a budget of 1 cell also puts each run of a stretch in
+    # a memory group of its own
+    if budget is not None:
+        monkeypatch.setattr(engine, "_BATCH_CELLS", budget)
+    sc = parse_scenario(path.read_text())
+    runs = [(1, 6.0, 0.0, 9), (2, 18.0, 0.3, 6), (3, 6.0, 0.5, 12), (4, 0.0, 0.3, 7),
+            (5, 6.0, 0.0, 8)]
+    scenarios = [replace(s, params=replace(s.params, **setup))
+                 for s, setup in zip(mixed(sc, runs), setups)]
+    built = []
+    monkeypatch.setattr(engine, "compute_sff",
+                        lambda grid: built.append("field") or compute_sff(grid))
+    monkeypatch.setattr(engine, "TransitionTables",
+                        lambda field, grid, params: built.append(params)
+                        or TransitionTables(field, grid, params))
+    assert_batch_matches_oracle(monkeypatch, scenarios, snapshot_steps=(0, 5, 30),
+                                capture_step=3)
+    assert built == ["field"] + [scenarios[k].params for k in starts]
 
 
 def test_mixed_grids_raise():

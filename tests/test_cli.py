@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR, scenario_text, src_env
-from evacsim import cli
+from evacsim import cli, engine
 from evacsim.cli import main
 from evacsim.engine import run_batch
+from evacsim.floorfield import compute_sff
 
 ROOM = """
 ########
@@ -175,6 +176,17 @@ def test_sweep_usage_errors_exit_2(corridor_file, tmp_path, capsys, argv_tail):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("sweep, shown", [("k_P=6,6.0", "6.0"), ("r=3,03", "3")])
+def test_sweep_value_spelled_twice_exit_2(corridor_file, tmp_path, capsys, sweep, shown):
+    # two spellings of one value would run the same tasks twice, into two
+    # directories, and repeat their rows in aggregate.csv
+    rc = main(["sweep", "--scenario", str(corridor_file), "--out", str(tmp_path / "o"),
+               "--sweep", sweep])
+    assert rc == 2
+    assert f"--sweep lists {shown} more than once" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_duplicate_seeds_exit_2(room_file, tmp_path, capsys):
     rc = main(["run", "--scenario", str(room_file), "--out", str(tmp_path / "o"),
                "--seeds", "1,2,1"])
@@ -331,19 +343,21 @@ class RecordingPool:
 
 
 @pytest.mark.parametrize(
-    "workers, tail, chunks",
-    [(10000, ["--seeds", "1,2"], [1, 1]),
-     (2, ["--seeds", "1,2,3", "--sweep", "r=3,10"], [1, 2, 1, 2]),
-     (2, ["--seeds", "1,2,3", "--sweep", "k_P=6,18"], [3, 3])],
+    "workers, tail, tasks, chunks",
+    [(10000, ["--seeds", "1,2"], [(10, 6.0, 1), (10, 6.0, 2)], [1, 1]),
+     (2, ["--seeds", "1,2,3", "--sweep", "r=3,10"],
+      [(r, 6.0, s) for r in (3, 10) for s in (1, 2, 3)], [3, 3]),
+     (2, ["--seeds", "1,2,3", "--sweep", "k_P=6,18"],
+      [(10, k_p, s) for k_p in (6.0, 18.0) for s in (1, 2, 3)], [3, 3])],
     ids=["ten_thousand_workers", "setup_per_value", "one_setup"],
 )
 def test_pool_is_no_larger_than_the_chunk_count(monkeypatch, corridor_file, tmp_path, workers,
-                                                tail, chunks):
+                                                tail, tasks, chunks):
     # a pool of --workers 10000 would fork 10000 processes at its first task
     batches = []
 
     def recording_batch(scenarios, *args):
-        batches.append([(sc.params.k_s, sc.params.k_w, sc.params.r) for sc in scenarios])
+        batches.append([(sc.params.r, sc.params.k_p, sc.params.seed) for sc in scenarios])
         return run_batch(scenarios, *args)
 
     monkeypatch.setattr(RecordingPool, "sizes", [])
@@ -354,9 +368,21 @@ def test_pool_is_no_larger_than_the_chunk_count(monkeypatch, corridor_file, tmp_
                  "--workers", str(workers), *tail]) == 0
     assert RecordingPool.sizes == [min(workers, len(chunks))]
     assert RecordingPool.sizes[0] <= len(batches)
+    # the chunks are consecutive slices of the task list, in task order
     assert [len(b) for b in batches] == chunks
-    # a chunk never spans two set-ups
-    assert all(len(set(b)) == 1 for b in batches)
+    assert [task for b in batches for task in b] == tasks
+
+
+def test_sweep_of_set_ups_computes_two_fields(monkeypatch, corridor_file, tmp_path):
+    # one for the CLI's validation and one for its single run_batch, which
+    # builds the tables of both r values on it
+    fields = []
+    for module in (cli, engine):
+        monkeypatch.setattr(module, "compute_sff",
+                            lambda grid: fields.append(grid) or compute_sff(grid))
+    assert main(["sweep", "--scenario", str(corridor_file), "--out", str(tmp_path / "o"),
+                 "--sweep", "r=3,10", "--workers", "1"]) == 0
+    assert len(fields) == 2
 
 
 def test_dump_sff_matches_direct_computation(room_file, tmp_path):
@@ -365,7 +391,6 @@ def test_dump_sff_matches_direct_computation(room_file, tmp_path):
                  "--snapshot-steps", "none", "--dump-sff"]) == 0
     import io
 
-    from evacsim.floorfield import compute_sff
     from evacsim.metrics import export_field_csv
     from evacsim.scenario import parse_scenario
 

@@ -10,7 +10,8 @@ invariants raise real errors.  No module imports another's _-prefixed
 (private) name; a rule two modules need is public in one of them.  Every
 name a module other than __init__.py imports is used in it: a leftover
 import keeps a dead binding that tools reading the module take for a live
-one.
+one.  The CLI reads no k_S, k_W or r: which runs share a set-up is
+engine.run_batch's rule alone.
 """
 
 import ast
@@ -104,4 +105,13 @@ def test_no_unused_imports_in_src():
                 name = (alias.asname or alias.name).split(".")[0]
                 if name not in used:
                     found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_cli_reads_no_set_up_parameter():
+    found = [
+        f"cli.py:{node.lineno} {node.attr}"
+        for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("k_s", "k_w", "r")
+    ]
     assert found == []
