@@ -52,7 +52,7 @@ from itertools import accumulate, groupby
 import numpy as np
 
 from .floorfield import compute_sff
-from .metrics import SimulationResult, SpreadSample, exit_axis, lateral_offsets, spread_metric
+from .metrics import SimulationResult, SpreadSample, lateral_offsets, spread_metric
 from .scenario import Cell, Grid, Scenario, place
 from .transition import TransitionTables
 
@@ -245,13 +245,15 @@ def run_batch(
 ) -> list[SimulationResult]:
     """Run validated scenarios of one grid in lockstep.
 
-    Returns one result per scenario, in order, each equal to the scenario's
-    run() alone.  Raises ValueError when the scenarios do not share the
-    grid.  The static field is computed once per call, and the
+    Returns one result per scenario, in order ([] for none), each equal to the
+    scenario's run() alone.  Raises ValueError when the scenarios do not share
+    the grid.  The static field is computed once per call, and the
     TransitionTables once per stretch of consecutive scenarios with equal
     (k_S, k_W, r), whose runs then step together.  Each run stops on its
     own, at evacuation or at its max_steps; seed, k_P and mu are its own too.
     """
+    if not scenarios:
+        return []
     grid = scenarios[0].grid
     if any(sc.grid is not grid and sc.grid != grid for sc in scenarios):
         raise ValueError("run_batch needs one grid for all scenarios")
@@ -274,9 +276,9 @@ def _lockstep(scenarios, tables, snapshot_steps, capture_step) -> list[Simulatio
     h, w = grid.height, grid.width
     size = h * w
     state = initial_state(*scenarios)
-    axis = exit_axis(grid)
     # the spread's offsets per cell, repeated for each room of the stack
-    offsets = None if axis is None else np.tile(lateral_offsets(axis, h, w), len(scenarios))
+    offsets = lateral_offsets(grid)
+    offsets = None if offsets is None else np.tile(offsets, len(scenarios))
     wanted = set(snapshot_steps)
     results = [SimulationResult(curve=[], evac_time=None) for _ in scenarios]
     live = list(range(len(scenarios)))

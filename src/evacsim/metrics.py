@@ -31,20 +31,6 @@ _KIND_GRAYS = np.array([PGM_FLOOR, PGM_WALL, PGM_EXIT, PGM_AGENT], dtype=np.uint
 
 
 @dataclass(frozen=True)
-class ExitAxis:
-    """The line through the exit centroid, normal to the exit wall.
-
-    axis names the grid coordinate whose deviation from `coordinate`
-    measures lateral offset: exits stacked in one column sit on a vertical
-    wall, so the axis is the horizontal line row == coordinate and
-    axis == "row"; exits in one row give axis == "col".
-    """
-
-    axis: str
-    coordinate: float
-
-
-@dataclass(frozen=True)
 class SpreadSample:
     step: int
     value: float
@@ -68,34 +54,37 @@ class SimulationResult:
     captured: list[tuple[int, Cell, np.ndarray, bool]] = field(default_factory=list)
 
 
-def exit_axis(grid: Grid) -> ExitAxis | None:
-    """Axis for the spread metric, or None when exits span several walls."""
-    if not grid.exits:
-        return None
+def lateral_offsets(grid: Grid) -> np.ndarray | None:
+    """Each cell's absolute lateral offset from the exit axis, flat
+    row-major, or None when the exits give no axis.
+
+    The axis is the line through the exit centroid, normal to the exit
+    wall.  Exits stacked in one column, a single exit included, sit on a
+    vertical wall, so the axis is the horizontal line through their mean
+    row and a cell's offset is its distance from it in rows; exits in one
+    row give the vertical line through their mean column.  A grid without
+    exits, or with exits on several walls, has no axis.
+    """
     rows = {i for i, _ in grid.exits}
     cols = {j for _, j in grid.exits}
+    cells = np.arange(grid.height * grid.width)
     if len(cols) == 1:
-        return ExitAxis(axis="row", coordinate=mean(i for i, _ in grid.exits))
-    if len(rows) == 1:
-        return ExitAxis(axis="col", coordinate=mean(j for _, j in grid.exits))
-    return None
-
-
-def lateral_offsets(axis: ExitAxis, height: int, width: int) -> np.ndarray:
-    """Each cell's absolute lateral offset from the exit axis, flat row-major."""
-    cells = np.arange(height * width)
-    coords = cells // width if axis.axis == "row" else cells % width
+        coords, axis = cells // grid.width, mean(i for i, _ in grid.exits)
+    elif len(rows) == 1:
+        coords, axis = cells % grid.width, mean(j for _, j in grid.exits)
+    else:
+        return None
     # integers are exact in float64, so the offsets are those of float
     # coordinates
-    return np.abs(coords - axis.coordinate)
+    return np.abs(coords - axis)
 
 
 def spread_metric(offsets: np.ndarray, cells: np.ndarray) -> float:
     """Mean absolute lateral offset of the remaining crowd from the exit axis.
 
-    offsets are lateral_offsets' table, cells the agents' flat indices into
-    it.  Undefined for an empty room; callers stop sampling once everyone
-    is out.
+    offsets are lateral_offsets(grid)'s table, or its tiling over stacked
+    rooms, and cells the agents' flat indices into it.  Undefined for an
+    empty room; callers stop sampling once everyone is out.
     """
     if not cells.size:
         raise ValueError("spread is undefined for an empty room")

@@ -43,7 +43,6 @@ _GLYPHS = frozenset((WALL_GLYPH, FLOOR_GLYPH, EXIT_GLYPH, AGENT_GLYPH))
 
 # Movement directions, shared vocabulary for the whole package.  Row-major
 # grid, row 0 at the top, so "up" decreases the row index.
-UP, RIGHT, DOWN, LEFT = 0, 1, 2, 3
 DIR_OFFSETS = ((-1, 0), (0, 1), (1, 0), (0, -1))
 
 # file key -> ModelParams attribute, in the file's key order

@@ -57,6 +57,9 @@ from evacsim.scenario import (
 )
 from evacsim.transition import _KERNEL_A, _KERNEL_B, _KERNEL_SCALE
 
+# the directions by their index into DIR_OFFSETS
+UP, RIGHT, DOWN, LEFT = 0, 1, 2, 3
+
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
 

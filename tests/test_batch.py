@@ -20,7 +20,7 @@ from conftest import SCENARIO_DIR, make_scenario, random_grid
 from evacsim import engine
 from evacsim.engine import initial_state, run_batch
 from evacsim.floorfield import compute_sff
-from evacsim.metrics import SimulationResult, SpreadSample, exit_axis
+from evacsim.metrics import SimulationResult, SpreadSample, lateral_offsets
 from evacsim.scenario import ModelParams, Scenario, parse_scenario
 from evacsim.transition import TransitionTables
 from oracles import distributions_oracle, oracle_step
@@ -33,18 +33,15 @@ def oracle_run(scenario, snapshot_steps=(), capture_step=None):
     grid, params = scenario.grid, scenario.params
     tables = TransitionTables(compute_sff(grid), grid, params)
     state = initial_state(scenario)
-    axis = exit_axis(grid)
+    offsets = lateral_offsets(grid)
     res = SimulationResult(curve=[], evac_time=None)
     while True:
         n = state.cells.size
         res.curve.append((state.step, n))
         if state.step in snapshot_steps:
             res.snapshots.append((state.step, state.occupancy.copy()))
-        if axis is not None and n:
-            coords = np.array([i if axis.axis == "row" else j for _, (i, j) in state.agents],
-                              dtype=np.float64)
-            res.spread.append(SpreadSample(state.step,
-                                           float(np.abs(coords - axis.coordinate).mean())))
+        if offsets is not None and n:
+            res.spread.append(SpreadSample(state.step, float(offsets[state.cells].mean())))
         if not n or state.step >= params.max_steps:
             break
         if state.step == capture_step:
@@ -218,3 +215,7 @@ def test_mixed_grids_raise():
     twin = parse_scenario((SCENARIO_DIR / "corridor30.txt").read_text())
     assert twin.grid is not sc.grid
     assert [r.curve for r in run_batch([sc, twin])] == [run_batch([sc])[0].curve] * 2
+
+
+def test_empty_batch_gives_no_results():
+    assert run_batch([]) == []

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_scenario, random_grid
 from evacsim.floorfield import SQRT2, compute_sff
-from evacsim.scenario import DOWN, LEFT, RIGHT, UP
-from oracles import NEG_INF, delta_s, max_delta_s, sff_oracle
+from oracles import DOWN, LEFT, NEG_INF, RIGHT, UP, delta_s, max_delta_s, sff_oracle
 
 
 def field_of(map_block):

@@ -1,10 +1,11 @@
-"""Every top-level function and class in the package is used by the package.
+"""Every top-level definition and name in the package is used by the package.
 
 A definition in src/evacsim/ must be referenced outside its own body,
 somewhere in src/ or perfbench/, or be exported in evacsim.__all__.  So
 must every public method or property of a class there (dunders are
-called by Python itself, and _-prefixed names are private).
-Reference code that only tests call belongs in tests/oracles.py.  The
+called by Python itself, and _-prefixed names are private), and every
+name a module-level assignment binds (__all__ aside).  Reference code and
+constants that only tests use belong in tests/oracles.py.  The
 package holds no assert statements: python -O strips them, so its
 invariants raise real errors.  No module imports another's _-prefixed
 (private) name; a rule two modules need is public in one of them.  Every
@@ -24,24 +25,28 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "evacsim"
 
 
-def _unused(nodes_by_path):
-    """path:line name for each node whose name appears nowhere in src/ or
-    perfbench/ outside the node's own lines (decorators included)."""
+def _unused(names_by_path):
+    """path:line name for each (path, name, first, last) whose name appears
+    nowhere in src/ or perfbench/ outside lines first to last of path."""
     paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     sources = {p: p.read_text().splitlines() for p in paths}
     unused = []
-    for path, node in nodes_by_path:
-        word = re.compile(rf"\b{re.escape(node.name)}\b")
-        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-        own = range(first - 1, node.end_lineno)
+    for path, name, first, last in names_by_path:
+        word = re.compile(rf"\b{re.escape(name)}\b")
         if not any(
             word.search(line)
             for p, lines in sources.items()
-            for k, line in enumerate(lines)
-            if not (p == path and k in own)
+            for k, line in enumerate(lines, 1)
+            if not (p == path and first <= k <= last)
         ):
-            unused.append(f"{path.name}:{node.lineno} {node.name}")
+            unused.append(f"{path.name}:{first} {name}")
     return unused
+
+
+def _named(path, node):
+    """_unused's entry for a def or class, its decorators included."""
+    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    return path, node.name, first, node.end_lineno
 
 
 def _definitions():
@@ -52,7 +57,28 @@ def _definitions():
 
 
 def test_every_definition_in_src_is_used_outside_tests():
-    assert _unused((p, n) for p, n in _definitions() if n.name not in evacsim.__all__) == []
+    assert _unused(_named(p, n) for p, n in _definitions() if n.name not in evacsim.__all__) == []
+
+
+def test_every_module_level_name_in_src_is_used_outside_tests():
+    bound = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            bound += [
+                (path, name.id, node.lineno, node.end_lineno)
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                and name.id != "__all__"
+            ]
+    assert bound
+    assert _unused(bound) == []
 
 
 def test_every_public_member_of_a_src_class_is_used_outside_tests():
@@ -64,7 +90,7 @@ def test_every_public_member_of_a_src_class_is_used_outside_tests():
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     ]
     assert members
-    assert _unused(members) == []
+    assert _unused(_named(p, n) for p, n in members) == []
 
 
 def test_no_assert_statements_in_src():

@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
-from evacsim.scenario import DOWN, LEFT, RIGHT, UP
-from oracles import SQRT5, bandwidth, density, density_oracle, kernel_phi, obstacle_distance
+from oracles import (
+    LEFT,
+    RIGHT,
+    SQRT5,
+    UP,
+    bandwidth,
+    density,
+    density_oracle,
+    kernel_phi,
+    obstacle_distance,
+)
 
 
 def test_obstacle_distance_cases():

@@ -5,9 +5,18 @@ import pytest
 
 from conftest import make_scenario, random_grid
 from evacsim.floorfield import compute_sff
-from evacsim.scenario import DOWN, LEFT, RIGHT, UP, ModelParams
+from evacsim.scenario import ModelParams
 from evacsim.transition import TransitionTables
-from oracles import direction_weights, in_bounds, transition_distribution, unnormalized_weight
+from oracles import (
+    DOWN,
+    LEFT,
+    RIGHT,
+    UP,
+    direction_weights,
+    in_bounds,
+    transition_distribution,
+    unnormalized_weight,
+)
 
 
 def setup_open_room():
