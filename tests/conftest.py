@@ -6,6 +6,7 @@ from textwrap import dedent
 import numpy as np
 import pytest
 
+from evacsim import engine
 from evacsim.scenario import Grid, parse_scenario
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -75,3 +76,15 @@ def random_grid(rng, h, w, wall_frac, n_exits, enclosed=False):
 @pytest.fixture
 def scenario_dir():
     return SCENARIO_DIR
+
+
+# engine._SPLIT_DRAWS values that put every step on one draw path
+DRAW_PATHS = {"always": 0, "never": sys.maxsize}
+
+
+@pytest.fixture(params=sorted(DRAW_PATHS))
+def draw_path(request, monkeypatch):
+    """Puts every engine.step of the test on one draw path: _split_draws
+    ("always") or _scan_draws ("never")."""
+    monkeypatch.setattr(engine, "_SPLIT_DRAWS", DRAW_PATHS[request.param])
+    return request.param

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SCENARIO_DIR, make_scenario, random_grid
+from conftest import DRAW_PATHS, SCENARIO_DIR, make_scenario, random_grid
 from evacsim import engine
 from evacsim.engine import initial_state, run_batch
 from evacsim.floorfield import compute_sff
@@ -145,19 +145,17 @@ def test_groups_of_a_large_batch_match_oracle(monkeypatch):
     assert_batch_matches_oracle(monkeypatch, mixed(sc, runs), snapshot_steps=(10,))
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
-@settings(max_examples=25, deadline=None)
-@given(
-    room_seed=st.integers(0, 2**32 - 1),
-    shape=st.tuples(st.integers(4, 10), st.integers(4, 10)),
-    density=st.floats(0.05, 0.9),
-    r=st.integers(1, 10),
-    runs=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.floats(0.0, 20.0),
-                            st.sampled_from([0.0, 0.3, 1.0]), st.integers(1, 30)),
-                  min_size=1, max_size=4),
-)
-def test_random_room_batches_match_oracle(room_seed, shape, density, r, runs):
-    rng = np.random.default_rng(room_seed)
+@st.composite
+def random_batches(draw):
+    """One to four runs of a random enclosed room of up to 10 x 10 cells,
+    each with its own crowd, seed, k_P, mu and max_steps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.tuples(st.integers(4, 10), st.integers(4, 10)))
+    density = draw(st.floats(0.05, 0.9))
+    r = draw(st.integers(1, 10))
+    runs = draw(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.floats(0.0, 20.0),
+                                   st.sampled_from([0.0, 0.3, 1.0]), st.integers(1, 30)),
+                         min_size=1, max_size=4))
     grid = random_grid(rng, *shape, 0.2, int(rng.integers(1, 3)), enclosed=True)
     free = [(i, j) for i in range(shape[0]) for j in range(shape[1]) if not grid.walls[i, j]]
     scenarios = []
@@ -166,9 +164,99 @@ def test_random_room_batches_match_oracle(room_seed, shape, density, r, runs):
         params = ModelParams(k_s=4.0, k_p=k_p, k_w=4.0, r=r, mu=mu, seed=seed,
                              max_steps=max_steps)
         scenarios.append(Scenario(grid=grid, initial_agents=agents, params=params))
+    return scenarios
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=25, deadline=None)
+@given(scenarios=random_batches())
+def test_random_room_batches_match_oracle(scenarios):
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_batch_matches_oracle(monkeypatch, scenarios, snapshot_steps=(2, 40),
                                     capture_step=1)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("path", sorted(DRAW_PATHS))
+@settings(max_examples=25, deadline=None)
+@given(scenarios=random_batches())
+def test_random_room_batches_match_oracle_on_each_draw_path(path, scenarios):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(engine, "_SPLIT_DRAWS", DRAW_PATHS[path])
+        assert_batch_matches_oracle(monkeypatch, scenarios, snapshot_steps=(2, 40),
+                                    capture_step=1)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", ["paper", "bottleneck"] + sorted(p.stem for p in CORPUS.glob("*.txt"))
+                         + ["corridor30"])
+def test_mixed_batches_on_each_draw_path(draw_path, monkeypatch, name):
+    # the mixed batches above, with every step on one draw path
+    if name == "paper":
+        test_paper_room_mixed_batch(monkeypatch)
+    elif name == "bottleneck":
+        test_bottleneck_runs_end_at_different_steps(monkeypatch)
+    else:
+        test_corpus_room_mixed_batch(monkeypatch, name)
+
+
+def test_batch_step_with_no_drawing_agent(draw_path, monkeypatch):
+    # a sealed agent and one on an exit: nobody draws on the first step
+    sc = make_scenario("#########\n#.#.P..E#\n###E#####", seed=5, max_steps=4)
+    sealed = Scenario(grid=sc.grid, initial_agents=((1, 1),), params=sc.params)
+    on_exit = Scenario(grid=sc.grid, initial_agents=((1, 7), (2, 3)),
+                       params=replace(sc.params, seed=6))
+    results = assert_batch_matches_oracle(monkeypatch, [sealed, on_exit], capture_step=0)
+    assert results[0].curve[-1] == (4, 1) and results[1].evac_time == 1
+
+
+class BlockSizes:
+    """Stands in for a generator and records the size of each block of
+    uniforms it hands out."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def random(self, size=None):
+        if size is not None:
+            self.sizes.append(size)
+        return self.rng.random(size)
+
+
+def test_large_sparse_room_at_the_default_constant(monkeypatch):
+    # a 140 x 140 room with about 2.5 % of its free cells taken, plus a
+    # dense block on its bottom rows whose agents redraw; at the default
+    # constant its steps draw through _split_draws
+    rng = np.random.default_rng(1)
+    grid = random_grid(rng, 140, 140, 0.02, 3, enclosed=True)
+    free = np.argwhere(grid.walls == 0)
+    agents = {(int(i), int(j)) for i, j in free[rng.random(len(free)) < 0.025]}
+    agents |= {(i, j) for i in range(133, 139) for j in range(1, 12) if not grid.walls[i, j]}
+    params = ModelParams(k_s=4.0, k_p=6.0, k_w=4.0, r=10, mu=0.3, seed=1, max_steps=15)
+    sc = Scenario(grid=grid, initial_agents=tuple(sorted(agents - grid.exits)), params=params)
+
+    # per run and step that drew through _split_draws: (blocks drawn,
+    # second draws, whether the run's last drawing agent is a safe one)
+    drawn = []
+    split = engine._split_draws
+
+    def recording(state, p, free, risky, starts, size):
+        gens = [BlockSizes(g) for g in state.rngs]
+        moves = split(replace(state, rngs=gens), p, free, risky, starts, size)
+        for s, gen in enumerate(gens):
+            n = starts[s + 1] - starts[s]
+            drawn.append((len(gen.sizes), sum(gen.sizes) - n, starts[s + 1] - 1 not in risky))
+        return moves
+
+    monkeypatch.setattr(engine, "_split_draws", recording)
+    assert_batch_matches_oracle(monkeypatch, [sc])
+    assert_batch_matches_oracle(monkeypatch, [sc, replace(sc, params=replace(params, seed=2))])
+    assert drawn
+    # safe agents after a redraw, whose first draws sit one place later
+    assert any(seconds and last_safe for _, seconds, last_safe in drawn)
+    # a block extended inside the scan: besides the first block and the
+    # one for the safe agents after the last risky one
+    assert any(blocks >= 3 for blocks, _, _ in drawn)
 
 
 R3, R10, KS2, KW0 = {"r": 3}, {"r": 10}, {"k_s": 2.0}, {"k_w": 0.0}

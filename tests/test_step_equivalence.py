@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario, random_grid
+from conftest import DRAW_PATHS, make_scenario, random_grid
+from evacsim import engine
 from evacsim.engine import initial_state, step
 from evacsim.floorfield import compute_sff
-from evacsim.scenario import ModelParams, Scenario, parse_scenario
+from evacsim.scenario import Cell, ModelParams, Scenario, parse_scenario
 from evacsim.transition import TransitionTables
 from oracles import distributions_oracle, oracle_step
 
@@ -153,30 +154,51 @@ def test_pending_32bit_draw_survives_the_step():
     assert states[-1].rngs[0].bit_generator.state["has_uint32"] == 1
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
-@settings(max_examples=40, deadline=None)
-@given(
-    room_seed=st.integers(0, 2**32 - 1),
-    shape=st.tuples(st.integers(4, 14), st.integers(4, 14)),
-    wall_frac=st.floats(0.0, 0.3),
-    density=st.floats(0.05, 0.9),
-    k_s=st.floats(0.0, 8.0),
-    k_p=st.floats(0.0, 20.0),
-    k_w=st.floats(0.0, 8.0),
-    r=st.integers(1, 10),
-    mu=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_random_rooms_match_oracle(room_seed, shape, wall_frac, density, k_s, k_p, k_w, r, mu,
-                                   seed):
-    rng = np.random.default_rng(room_seed)
-    h, w = shape
-    grid = random_grid(rng, h, w, wall_frac, int(rng.integers(1, 4)), enclosed=True)
+@st.composite
+def random_rooms(draw):
+    """A random enclosed room of up to 14 x 14 cells with a random crowd
+    and random parameters, run for up to 40 steps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h, w = draw(st.integers(4, 14)), draw(st.integers(4, 14))
+    grid = random_grid(rng, h, w, draw(st.floats(0.0, 0.3)), int(rng.integers(1, 4)),
+                       enclosed=True)
     # agents in sealed pockets included: they have norm_zero and never draw
+    density = draw(st.floats(0.05, 0.9))
     free = [(i, j) for i in range(h) for j in range(w) if not grid.walls[i, j]]
     agents = tuple(cell for cell in free if rng.random() < density)
-    params = ModelParams(k_s=k_s, k_p=k_p, k_w=k_w, r=r, mu=mu, seed=seed, max_steps=40)
-    lockstep(Scenario(grid=grid, initial_agents=agents, params=params))
+    params = ModelParams(k_s=draw(st.floats(0.0, 8.0)), k_p=draw(st.floats(0.0, 20.0)),
+                         k_w=draw(st.floats(0.0, 8.0)), r=draw(st.integers(1, 10)),
+                         mu=draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
+                         seed=draw(st.integers(0, 2**32 - 1)), max_steps=40)
+    return Scenario(grid=grid, initial_agents=agents, params=params)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=40, deadline=None)
+@given(scenario=random_rooms())
+def test_random_rooms_match_oracle(scenario):
+    lockstep(scenario)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("path", sorted(DRAW_PATHS))
+@settings(max_examples=40, deadline=None)
+@given(scenario=random_rooms())
+def test_random_rooms_match_oracle_on_each_draw_path(path, scenario):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(engine, "_SPLIT_DRAWS", DRAW_PATHS[path])
+        lockstep(scenario)
+
+
+def test_step_with_no_drawing_agent(draw_path):
+    # a sealed agent and one on an exit: nobody draws on the first step,
+    # and only the sealed agent is left for the others
+    sc = make_scenario("#######\n#.#.P.#\n###E###", seed=5, max_steps=3)
+    states = lockstep(Scenario(grid=sc.grid, initial_agents=((1, 1), (2, 3)),
+                               params=sc.params))
+    assert [s.agents for s in states] == [[(0, (1, 1)), (1, (2, 3))]] + [[(0, (1, 1))]] * 3
+    fresh = np.random.Generator(np.random.PCG64(5)).bit_generator.state
+    assert states[-1].rngs[0].bit_generator.state == fresh
 
 
 class QueuedUniforms:
@@ -192,9 +214,13 @@ class QueuedUniforms:
         return np.array(out)
 
 
-def test_draw_past_rounded_total_takes_last_positive_direction():
-    # a lone agent next to the west wall whose four probabilities add up to
-    # a hair under 1; the largest uniform below 1 lands past that total
+def rounded_total_moves(neighbour: bool) -> tuple[Cell, list]:
+    """A cell next to the west wall whose four probabilities add up to a
+    hair under 1, with down the last positive direction; with neighbour,
+    the cell above it holds an agent and up keeps a positive p, so the
+    agent is one that may redraw.  Returns the cell and the agents after
+    one step from engine.step and from oracle_step, with every uniform the
+    largest double below 1, which lands past the rounded total."""
     sc = parse_scenario((SCENARIOS / "room37x33.txt").read_text())
     grid = sc.grid
     field = compute_sff(grid)
@@ -203,20 +229,37 @@ def test_draw_past_rounded_total_takes_last_positive_direction():
     for (i, j) in sorted(set(zip(*np.nonzero(grid.walls == 0))) - grid.exits):
         occ = np.zeros((grid.height, w), dtype=np.uint8)
         occ[i, j] = 1
+        if neighbour:
+            if grid.walls[i - 1, j] or (i - 1, j) in grid.exits:
+                continue
+            occ[i - 1, j] = 1
         p, _ = tables.distributions(occ, np.array([i * w + j]), sc.params.k_p)
         total = 0.0
         for d in range(4):
             total += p[0, d]
-        if total < 1.0 and p[0, 3] == 0.0 and p[0, 2] > 0.0:
+        if total < 1.0 and p[0, 3] == 0.0 and p[0, 2] > 0.0 and (p[0, 0] > 0.0 or not neighbour):
             break
     else:
         pytest.fail("no cell with a rounded-down total next to a west wall")
     cell = (int(i), int(j))
+    agents = ((cell[0] - 1, cell[1]), cell) if neighbour else (cell,)
     top = float(np.nextafter(1.0, 0.0))
     moved = []
     for advance in (lambda st: step(st, grid, tables),
                     lambda st: oracle_step(st, grid, sc.params, tables)):
-        state = initial_state(Scenario(grid=grid, initial_agents=(cell,), params=sc.params))
-        state.rngs = [QueuedUniforms([top])]
+        state = initial_state(Scenario(grid=grid, initial_agents=agents, params=sc.params))
+        state.rngs = [QueuedUniforms([top] * 8)]
         moved.append(advance(state).agents)
-    assert moved[0] == moved[1] == [(0, (cell[0] + 1, cell[1]))]  # down, the last positive
+    assert moved[0] == moved[1]
+    return cell, moved[0]
+
+
+def test_draw_past_rounded_total_takes_last_positive_direction():
+    cell, moved = rounded_total_moves(neighbour=False)
+    assert moved == [(0, (cell[0] + 1, cell[1]))]  # down, the last positive
+
+
+@pytest.mark.parametrize("neighbour", [False, True])
+def test_draw_past_rounded_total_on_each_draw_path(draw_path, neighbour):
+    cell, moved = rounded_total_moves(neighbour)
+    assert (int(neighbour), (cell[0] + 1, cell[1])) in moved
