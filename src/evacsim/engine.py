@@ -39,15 +39,16 @@ exactly where one call per draw leaves it, m + R uniforms for R second
 draws, with its state (the buffered 32-bit half-word included) untouched
 otherwise.  Contested cells then draw one call at a time, in raster order.
 
-Most steps make the draws in one scan over plain lists, in agent order.
-A step with many safe agents, whose drawable directions all lead to cells
-free in the snapshot so that they make exactly one draw, splits them from
-the risky ones: the list scan walks the risky agents only, by the same
-block rule, and notes where each second draw sits.  Deleting those entries
-from the blocks leaves every agent's first draw, in agent order, and numpy
-turns the safe agents' into targets.  A stable argsort groups the claims
-by cell, agents ascending within a cell, and only contested cells go
-through Python.
+One scan over plain lists (_scan) makes the draws, in agent order.  Most
+steps scan every drawing agent and group the claims in a dict.  A step
+whose rooms hold many safe agents, whose drawable directions all lead to
+cells free in the snapshot so that they make exactly one draw, splits
+them from the risky ones: the same scan walks the risky agents only, by
+the same position and block rules, and marks each second draw in the
+list of draws.  The unmarked entries are every agent's first draw, in
+agent order, and numpy turns the safe agents' into targets.  A stable
+argsort groups the claims by cell, agents ascending within a cell, and
+only contested cells go through Python.
 
 The run state says where each agent stands in one form only: ids and, at
 the same positions, flat cells into the runs' occupancies stacked on the
@@ -57,6 +58,7 @@ occupancy; SimulationState.agents derives (id, (i, j)) pairs from them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import accumulate, groupby
 
@@ -72,14 +74,18 @@ from .transition import TransitionTables
 # so a batch's step memory stays that of one large room, for any run count
 _BATCH_CELLS = 1 << 20
 
-# step() draws through _split_draws when at least this many of its drawing
-# agents are safe.  Both paths were timed (median of 7 alternating rounds of
-# 15 steps on a 2-core x86 host) on enclosed square rooms with a 4-cell
-# exit, 86 to 5,774 agents.  The split cost 0.49-0.91x the scan from 173
-# safe agents up in sparse rooms (1-6 % taken), 0.76-0.98x with 196-1,367
-# safe in rooms a quarter full, 0.97-1.01x in rooms 60 % full (83-254
-# safe), and 1.01-1.21x with 25-121 safe.  384 leaves the paper room's
-# 300 agents below without counting, and puts big_room's 1,080 above.
+# step() draws through _split_draws when its drawing agents hold at least
+# this many safe ones per room with drawing agents.  Both paths were timed
+# (median of 7 alternating rounds of 15 steps on a 2-core x86 host) on
+# single enclosed square rooms with a 4-cell exit, 86 to 5,774 agents.
+# The split cost 0.49-0.91x the scan from 173 safe agents up in sparse
+# rooms (1-6 % taken), 0.76-0.98x with 196-1,367 safe in rooms a quarter
+# full, 0.97-1.01x in rooms 60 % full (83-254 safe), and 1.01-1.21x with
+# 25-121 safe.  In run_batch stacks of 10 and 20 paper rooms (8-22 % of
+# the drawing agents safe) the split on every step cost 0.92-1.13x the
+# scan (process time, median of 7 rounds), so the count is per room: the
+# paper room's 300 agents stay below it without counting, for any number
+# of seeds, and big_room's 1,080 are above it.
 _SPLIT_DRAWS = 384
 
 
@@ -149,8 +155,9 @@ def step(state: SimulationState, grid: Grid, tables: TransitionTables) -> Simula
     Agents already standing on an exit (possible only by initial
     placement) propose to stay and are removed at the end of the step like
     everyone else who reaches a door.  A step with at least _SPLIT_DRAWS
-    safe agents draws through _split_draws, any other through
-    _scan_draws: the same moves and generator states either way.
+    safe agents per room with drawing agents draws through _split_draws,
+    any other through _scan_draws: the same moves and generator states
+    either way.
     """
     occ = state.occupancy
     cells = state.cells
@@ -173,25 +180,26 @@ def step(state: SimulationState, grid: Grid, tables: TransitionTables) -> Simula
     nbr = tables.nbr.take(local, axis=1)
     if rooms > 1:
         nbr += base
-    free = np.where(occ.reshape(-1)[nbr] != 0, -1, nbr)
+    free = np.where(occ.reshape(-1)[nbr] != 0, -1, nbr).T
     on_exit = grid.exit_mask.reshape(-1)
     drawing = np.flatnonzero(~(norm_zero | on_exit[local]))
     # run s's drawing agents are drawing[starts[s]:starts[s + 1]]
     starts = ([0, drawing.size] if rooms == 1
               else np.searchsorted(run[drawing], np.arange(rooms + 1)).tolist())
     # a safe agent has no drawable direction onto a cell occupied in the
-    # snapshot, so it makes exactly one draw.  Safe agents are counted only
-    # where the drawing agents could hold enough of them.
-    safe = 0
-    if drawing.size >= _SPLIT_DRAWS:
-        rows_p, rows_free = p[drawing], free.T[drawing]
+    # snapshot, so it makes exactly one draw.  The split needs _SPLIT_DRAWS
+    # safe agents per room with drawing agents, which are counted only
+    # where the drawing agents could hold that many.
+    need = _SPLIT_DRAWS
+    if rooms > 1 and drawing.size >= need:
+        need *= sum(hi > lo for lo, hi in zip(starts, starts[1:]))
+    split = drawing.size >= need
+    if split:
+        rows_p, rows_free = p[drawing], free[drawing]
         risky = np.flatnonzero(((rows_free < 0) & (rows_p > 0.0)).any(axis=1))
-        safe = drawing.size - risky.size
-    if safe >= _SPLIT_DRAWS:
-        rows, targets = _split_draws(state, rows_p, rows_free, risky, starts, size)
-        movers = drawing[rows]
-    else:
-        movers, targets = _scan_draws(state, p, free, drawing, starts, size)
+        split = drawing.size - risky.size >= need
+    movers, targets = (_split_draws(state, rows_p, rows_free, drawing, risky, starts, size)
+                       if split else _scan_draws(state, p, free, drawing, starts, size))
 
     new_cells = cells.copy()
     new_cells[movers] = targets
@@ -212,31 +220,36 @@ def step(state: SimulationState, grid: Grid, tables: TransitionTables) -> Simula
                            step=state.step + 1, rngs=state.rngs, k_p=state.k_p, mu=state.mu)
 
 
-def _scan_draws(state, p, free, drawing, starts, size):
-    """A step's draws and friction as one scan over plain lists.
+def _scan(rngs, prob, free, ranks, keys, starts):
+    """The draw scan, run by run and agents ascending.
 
-    p and free are step()'s per-agent tables, and run s's drawing agents
-    are drawing[starts[s]:starts[s + 1]].  Returns (movers, cells): the
-    agents that move and the cells they move to.
+    Run s's drawing agents are those of ranks starts[s] to starts[s + 1] in
+    agent order.  Scanned agent i is the one of rank ranks[i] (ascending)
+    and reads row keys[i] of prob and free, flat lists of four entries per
+    row.  Each scanned agent takes its first draw and, after a hit on an
+    occupied cell, a second one; a block never reaches past the draws
+    certain to be made (one per drawing agent, plus the second draws found
+    so far), and in the end every run has drawn all of them.  Returns
+    (claims, u): the keys claiming each cell, ascending (a stay claims
+    nothing), and every draw in stream order, run after run, with 2.0 in
+    place of each second draw.
     """
-    prob = p.ravel().tolist()
-    free = free.T.ravel().tolist()
-    drawing = drawing.tolist()
-    # per run, agents ascending, one draw each and a second one after a hit
-    # on an occupied cell; u is refilled with as many draws as are certain
-    # to be made, so the generator never runs ahead of the scan
+    # run s's scanned agents are ranks[firsts[s]:firsts[s + 1]]
+    firsts = [bisect_left(ranks, lo) for lo in starts]
     claims: dict[int, list[int]] = {}
-    for rng, lo, hi in zip(state.rngs, starts, starts[1:]):
-        u: list[float] = []
-        used = 0
-        left = hi - lo  # the run's agents whose first draw is still to come
-        for k in drawing[lo:hi]:
-            if used == len(u):
-                u = rng.random(left).tolist()
-                used = 0
-            x = u[used]
-            used += 1
-            left -= 1
+    u: list[float] = []
+    for s, rng in enumerate(rngs):
+        a, z, hi = firsts[s], firsts[s + 1], starts[s + 1]
+        # the agent of rank j takes its first draw from u[j + off]; off
+        # grows by one with each second draw, and hi + off draws are certain
+        off = len(u) - starts[s]
+        have = len(u)
+        for j, k in zip(ranks[a:z], keys[a:z]):
+            pos = j + off
+            if pos >= have:
+                u += rng.random(hi + off - have).tolist()
+                have = hi + off
+            x = u[pos]
             b = 4 * k
             acc = 0.0
             for d in range(b, b + 4):
@@ -249,11 +262,13 @@ def _scan_draws(state, p, free, drawing, starts, size):
             t = free[d]
             if t < 0:
                 # patience: occupied directions hand their mass to staying put
-                if used == len(u):
-                    u = rng.random(left + 1).tolist()
-                    used = 0
-                x = u[used]
-                used += 1
+                off += 1
+                pos += 1
+                if pos == have:
+                    u += rng.random(hi + off - have).tolist()
+                    have = hi + off
+                x = u[pos]
+                u[pos] = 2.0
                 acc = 0.0
                 for d in range(b, b + 4):
                     t = free[d]
@@ -264,7 +279,21 @@ def _scan_draws(state, p, free, drawing, starts, size):
                 else:
                     continue
             claims.setdefault(t, []).append(k)
+        if have < hi + off:
+            u += rng.random(hi + off - have).tolist()
+    return claims, u
 
+
+def _scan_draws(state, p, free, drawing, starts, size):
+    """A step's draws and friction: the scan over every drawing agent, then
+    the contested cells from its claims.
+
+    p and free are step()'s per-agent tables, and run s's drawing agents
+    are drawing[starts[s]:starts[s + 1]].  Returns (movers, cells): the
+    agents that move and the cells they move to.
+    """
+    claims, _ = _scan(state.rngs, p.ravel().tolist(), free.ravel().tolist(),
+                      range(drawing.size), drawing.tolist(), starts)
     # friction: contested cells in raster order (ascending flat index), so
     # run by run, each with its own generator and mu
     movers: list[int] = []
@@ -284,78 +313,28 @@ def _scan_draws(state, p, free, drawing, starts, size):
     return movers, targets
 
 
-def _split_draws(state, p, free, risky, starts, size):
+def _split_draws(state, p, free, drawing, risky, starts, size):
     """_scan_draws for a step with many safe agents: the same moves and
-    generator states, with the list scan over the risky agents only.
+    generator states, with the scan over the risky agents only.
 
-    p and free hold the drawing agents' rows, in agent order, run s owning
-    rows starts[s] to starts[s + 1], and risky the risky agents' rows,
-    ascending.  Returns (rows, cells): the movers' rows and the cells they
-    move to.
+    p and free hold the drawing agents' rows, in agent order, and risky
+    the risky agents' rows, ascending.
     """
-    prob = p[risky].ravel().tolist()
-    fr = free[risky].ravel().tolist()
-    at = risky.tolist()
-    # run s's risky agents are at[firsts[s]:firsts[s + 1]]
-    firsts = np.searchsorted(risky, starts).tolist()
-    got: list[int] = []  # each risky agent's cell, -1 for a stay
-    blocks = []
-    seconds: list[int] = []  # where the second draws sit in the joined blocks
-    end = 0  # where the run's block starts in the joined blocks
-    for s, rng in enumerate(state.rngs):
-        lo, n = starts[s], starts[s + 1] - starts[s]
-        u: list[float] = []
-        have = 0  # len(u): the run's draws so far
-        extra = 0  # its second draws so far: n + extra draws are certain
-        for q in range(firsts[s], firsts[s + 1]):
-            pos = at[q] - lo + extra
-            if pos >= have:
-                blocks.append(rng.random(n + extra - have))
-                u += blocks[-1].tolist()
-                have = n + extra
-            x = u[pos]
-            b = 4 * q
-            acc = 0.0
-            for d in range(b, b + 4):
-                acc += prob[d]
-                if x < acc:
-                    break
-            else:
-                # past the rounded total: the last positive direction
-                d = max(dd for dd in range(b, b + 4) if prob[dd] > 0.0)
-            t = fr[d]
-            if t < 0:
-                extra += 1
-                pos += 1
-                if pos == have:
-                    blocks.append(rng.random(n + extra - have))
-                    u += blocks[-1].tolist()
-                    have = n + extra
-                seconds.append(end + pos)
-                x = u[pos]
-                acc = 0.0
-                for d in range(b, b + 4):
-                    t = fr[d]
-                    if t >= 0:
-                        acc += prob[d]
-                        if x < acc:
-                            break
-                else:
-                    t = -1
-            got.append(t)
-        if have < n + extra:
-            blocks.append(rng.random(n + extra - have))
-        end += n + extra
-
+    claims, u = _scan(state.rngs, p[risky].ravel().tolist(), free[risky].ravel().tolist(),
+                      risky.tolist(), range(risky.size), starts)
     # every agent's first draw, in agent order; the cumulative sum adds each
     # row left to right, exactly as the scan's acc does
-    x = np.delete(np.concatenate(blocks), seconds) if blocks else np.empty(0)
+    x = np.array(u)
+    x = x[x < 1.0]
     d = (np.cumsum(p, axis=1) <= x[:, None]).sum(axis=1)
     past = np.flatnonzero(d == 4)  # past the rounded total, as in the scan
     if past.size:
         d[past] = 3 - (p[past, ::-1] > 0.0).argmax(axis=1)
     cell = free[np.arange(d.size), d]
-    cell[risky] = got
+    # the risky agents' cells are those the scan found
+    cell[risky] = -1
+    cell[risky[[k for group in claims.values() for k in group]]] = [
+        t for t, group in claims.items() for _ in group]
 
     # claims grouped by cell with agents ascending within a cell; only the
     # contested cells draw, in raster order
@@ -373,7 +352,7 @@ def _split_draws(state, p, free, risky, starts, size):
         if rng.random() < state.mu[s]:
             continue
         won.append(h + min(int(rng.random() * n), n - 1))
-    return rows[won], cell[won]
+    return drawing[rows[won]], cell[won]
 
 
 def run_batch(

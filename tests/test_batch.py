@@ -177,12 +177,12 @@ def test_random_room_batches_match_oracle(scenarios):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.parametrize("path", sorted(DRAW_PATHS))
 @settings(max_examples=25, deadline=None)
 @given(scenarios=random_batches())
-def test_random_room_batches_match_oracle_on_each_draw_path(path, scenarios):
+def test_random_room_batches_match_oracle_on_the_split_path(scenarios):
+    # these batches hold too few agents to split at the default constant
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(engine, "_SPLIT_DRAWS", DRAW_PATHS[path])
+        monkeypatch.setattr(engine, "_SPLIT_DRAWS", DRAW_PATHS["always"])
         assert_batch_matches_oracle(monkeypatch, scenarios, snapshot_steps=(2, 40),
                                     capture_step=1)
 
@@ -190,8 +190,10 @@ def test_random_room_batches_match_oracle_on_each_draw_path(path, scenarios):
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("name", ["paper", "bottleneck"] + sorted(p.stem for p in CORPUS.glob("*.txt"))
                          + ["corridor30"])
-def test_mixed_batches_on_each_draw_path(draw_path, monkeypatch, name):
-    # the mixed batches above, with every step on one draw path
+def test_mixed_batches_on_the_split_path(monkeypatch, name):
+    # the mixed batches above, which the default constant keeps on the
+    # scan, with every step split
+    monkeypatch.setattr(engine, "_SPLIT_DRAWS", DRAW_PATHS["always"])
     if name == "paper":
         test_paper_room_mixed_batch(monkeypatch)
     elif name == "bottleneck":
@@ -208,6 +210,30 @@ def test_batch_step_with_no_drawing_agent(draw_path, monkeypatch):
                        params=replace(sc.params, seed=6))
     results = assert_batch_matches_oracle(monkeypatch, [sealed, on_exit], capture_step=0)
     assert results[0].curve[-1] == (4, 1) and results[1].evac_time == 1
+
+
+@pytest.mark.parametrize("constant, rooms, path", [
+    (4, ["spaced"], "split"), (5, ["spaced"], "scan"),
+    (4, ["spaced", "spaced"], "split"),
+    # the stack holds 8 safe agents, but only 4 per room
+    (5, ["spaced", "spaced"], "scan"),
+    # a room without drawing agents does not count
+    (4, ["spaced", "on_exit"], "split"),
+], ids=["one_room_split", "one_room_scan", "two_rooms_split", "two_rooms_scan",
+        "idle_room_uncounted"])
+def test_split_counts_safe_agents_per_room(monkeypatch, constant, rooms, path):
+    # four agents, none next to another, are all safe on the first step
+    sc = make_scenario("#########\n#P.P.P.P#\n#.......#\n####E####", seed=3, max_steps=1)
+    agents = {"spaced": sc.initial_agents, "on_exit": ((3, 4),)}
+    scenarios = [Scenario(grid=sc.grid, initial_agents=agents[room],
+                          params=replace(sc.params, seed=3 + k)) for k, room in enumerate(rooms)]
+    monkeypatch.setattr(engine, "_SPLIT_DRAWS", constant)
+    taken = []
+    for name, draws in (("split", engine._split_draws), ("scan", engine._scan_draws)):
+        monkeypatch.setattr(engine, f"_{name}_draws",
+                            lambda *args, name=name, draws=draws: taken.append(name) or draws(*args))
+    assert_batch_matches_oracle(monkeypatch, scenarios)
+    assert taken == [path]
 
 
 class BlockSizes:
@@ -240,9 +266,9 @@ def test_large_sparse_room_at_the_default_constant(monkeypatch):
     drawn = []
     split = engine._split_draws
 
-    def recording(state, p, free, risky, starts, size):
+    def recording(state, p, free, drawing, risky, starts, size):
         gens = [BlockSizes(g) for g in state.rngs]
-        moves = split(replace(state, rngs=gens), p, free, risky, starts, size)
+        moves = split(replace(state, rngs=gens), p, free, drawing, risky, starts, size)
         for s, gen in enumerate(gens):
             n = starts[s + 1] - starts[s]
             drawn.append((len(gen.sizes), sum(gen.sizes) - n, starts[s + 1] - 1 not in risky))
