@@ -82,10 +82,11 @@ _BATCH_CELLS = 1 << 20
 # rooms (1-6 % taken), 0.76-0.98x with 196-1,367 safe in rooms a quarter
 # full, 0.97-1.01x in rooms 60 % full (83-254 safe), and 1.01-1.21x with
 # 25-121 safe.  In run_batch stacks of 10 and 20 paper rooms (8-22 % of
-# the drawing agents safe) the split on every step cost 0.92-1.13x the
-# scan (process time, median of 7 rounds), so the count is per room: the
-# paper room's 300 agents stay below it without counting, for any number
-# of seeds, and big_room's 1,080 are above it.
+# the drawing agents safe) the split on every step cost 0.93-1.21x the
+# scan, and 0.59-0.72x in stacks of 1, 2 and 4 big_room-sized rooms
+# (process time, median of 7 rounds), so the count is per room: the paper
+# room's 300 agents stay below it without counting, for any number of
+# seeds, and big_room's 1,080 are above it.
 _SPLIT_DRAWS = 384
 
 
