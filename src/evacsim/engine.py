@@ -5,10 +5,10 @@ each pedestrian draws a target from its transition distribution; a draw
 landing on an occupied cell triggers a second draw in which the occupied
 directions hand their probability mass to staying put (people are patient,
 they do not shove).  Movers contending for the same cell are resolved per
-target cell in raster order: with probability mu nobody gets it, otherwise
-a uniformly chosen contender does.  All permitted moves then happen at
-once, and whoever stands on an exit cell at the end of the step has left
-the room.
+target cell in raster order by one function, _friction: with probability
+mu nobody gets it, otherwise a uniformly chosen contender does.  All
+permitted moves then happen at once, and whoever stands on an exit cell at
+the end of the step has left the room.
 
 Randomness discipline: each run owns one PCG64 stream, and the only
 generator method ever consumed is rng.random(), in a fixed order (the
@@ -158,7 +158,7 @@ def step(state: SimulationState, grid: Grid, tables: TransitionTables) -> Simula
     everyone else who reaches a door.  A step with at least _SPLIT_DRAWS
     safe agents per room with drawing agents draws through _split_draws,
     any other through _scan_draws: the same moves and generator states
-    either way.
+    either way, as both settle contested cells through _friction.
     """
     occ = state.occupancy
     cells = state.cells
@@ -295,23 +295,25 @@ def _scan_draws(state, p, free, drawing, starts, size):
     """
     claims, _ = _scan(state.rngs, p.ravel().tolist(), free.ravel().tolist(),
                       range(drawing.size), drawing.tolist(), starts)
-    # friction: contested cells in raster order (ascending flat index), so
-    # run by run, each with its own generator and mu
+    # claimed cells in raster order (ascending flat index), so run by run
     movers: list[int] = []
     targets: list[int] = []
-    for t in sorted(claims):
-        group = claims[t]
-        if len(group) > 1:
-            s = t // size
-            rng = state.rngs[s]
-            if rng.random() < state.mu[s]:
-                continue
-            n = len(group)
-            movers.append(group[min(int(rng.random() * n), n - 1)])
-        else:
-            movers.append(group[0])
-        targets.append(t)
+    for t, group in sorted(claims.items()):
+        i = 0 if len(group) == 1 else _friction(state, size, t, len(group))
+        if i is not None:
+            movers.append(group[i])
+            targets.append(t)
     return movers, targets
+
+
+def _friction(state, size, t, n):
+    """Friction on cell t of the stack, claimed by n > 1 agents, from t's run's
+    generator: None (nobody moves) with probability mu, else a uniform pick in range(n)."""
+    s = t // size
+    rng = state.rngs[s]
+    if rng.random() < state.mu[s]:
+        return None
+    return min(int(rng.random() * n), n - 1)
 
 
 def _split_draws(state, p, free, drawing, risky, starts, size):
@@ -348,11 +350,9 @@ def _split_draws(state, p, free, drawing, risky, starts, size):
     won = heads[one].tolist()
     many = ~one
     for h, n, t in zip(heads[many].tolist(), counts[many].tolist(), cell[heads[many]].tolist()):
-        s = t // size
-        rng = state.rngs[s]
-        if rng.random() < state.mu[s]:
-            continue
-        won.append(h + min(int(rng.random() * n), n - 1))
+        i = _friction(state, size, t, n)
+        if i is not None:
+            won.append(h + i)
     return drawing[rows[won]], cell[won]
 
 

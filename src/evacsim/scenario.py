@@ -61,7 +61,10 @@ PARAM_KEYS = tuple(PARAM_ATTRS)
 # in words); the one statement of each parameter's rule
 _WEIGHT = (float, lambda v: math.isfinite(v) and v >= 0.0, "a finite real >= 0")
 PARAM_RANGES = {
-    "k_s": _WEIGHT,
+    # k_S weighs dS, the field drop to an orthogonal neighbour: at most 1 plus
+    # rounding, and the exponent's other terms only subtract.  Four weights of
+    # at most e^708.01 stay below the largest double, e^709.78 (4 < e^1.39).
+    "k_s": (float, lambda v: 0.0 <= v <= 708.0, "a real in [0, 708]"),
     "k_p": _WEIGHT,
     "k_w": _WEIGHT,
     "r": (int, lambda v: v >= 1, "an integer >= 1"),

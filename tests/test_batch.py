@@ -212,6 +212,34 @@ def test_batch_step_with_no_drawing_agent(draw_path, monkeypatch):
     assert results[0].curve[-1] == (4, 1) and results[1].evac_time == 1
 
 
+# agents walk straight at the exit, so dS = 1 occurs, and r = 1 leaves no
+# wall term on a free neighbour: at k_S's bound the exponent reaches 708 (a
+# few ulps above it, as the field's sums round)
+STRAIGHT_ROOM = """
+###########
+#PPPPP....E
+#PPPPP....E
+#PPPPP....#
+###########
+"""
+
+
+@pytest.mark.parametrize("runs", [1, 2])
+def test_k_s_at_its_bound_matches_oracle(draw_path, monkeypatch, runs):
+    sc = make_scenario(STRAIGHT_ROOM, k_S=708, k_P=708, k_W=708, r=1, mu=0.3, max_steps=60)
+    tables = TransitionTables(compute_sff(sc.grid), sc.grid, sc.params)
+    assert tables.static_expo.max() >= 708.0
+    contested = []
+    friction = engine._friction
+    monkeypatch.setattr(engine, "_friction", lambda *a: contested.append(a) or friction(*a))
+    results = assert_batch_matches_oracle(
+        monkeypatch, [replace(sc, params=replace(sc.params, seed=s)) for s in range(1, runs + 1)],
+        capture_step=0)
+    assert contested
+    for res in results:
+        assert res.captured and all(np.isfinite(p).all() for _, _, p, _ in res.captured)
+
+
 @pytest.mark.parametrize("constant, rooms, path", [
     (4, ["spaced"], "split"), (5, ["spaced"], "scan"),
     (4, ["spaced", "spaced"], "split"),

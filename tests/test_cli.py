@@ -225,7 +225,7 @@ def test_bad_set_flag_exit_2(room_file, tmp_path, capsys):
     rc = main(["sweep", "--scenario", str(room_file), "--out", str(tmp_path / "o"),
                "--sweep", "k_S=1,-1"])
     assert rc == 2
-    assert capsys.readouterr().err == "scenario error: k_S: must be a finite real >= 0, got '-1'\n"
+    assert capsys.readouterr().err == "scenario error: k_S: must be a real in [0, 708], got '-1'\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -12,7 +12,9 @@ invariants raise real errors.  No module imports another's _-prefixed
 name a module other than __init__.py imports is used in it: a leftover
 import keeps a dead binding that tools reading the module take for a live
 one.  The CLI reads no k_S, k_W or r: which runs share a set-up is
-engine.run_batch's rule alone.
+engine.run_batch's rule alone.  The package calls no numpy Generator
+method but random(): the byte contract rests on rng.random() being the
+only draw a run's stream ever serves.
 """
 
 import ast
@@ -141,3 +143,21 @@ def test_cli_reads_no_set_up_parameter():
         if isinstance(node, ast.Attribute) and node.attr in ("k_s", "k_w", "r")
     ]
     assert found == []
+
+
+# numpy Generator methods that draw from, or move, a stream other than by random()
+_OTHER_DRAWS = frozenset({
+    "integers", "choice", "uniform", "normal", "standard_normal", "shuffle", "permutation",
+    "permuted", "exponential", "bytes", "advance", "jumped", "spawn",
+})
+
+
+def test_no_generator_method_but_random_in_src():
+    called = [
+        (f"{path.name}:{node.lineno}", node.func.attr)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    ]
+    assert any(attr == "random" for _, attr in called)
+    assert [f"{where} {attr}" for where, attr in called if attr in _OTHER_DRAWS] == []

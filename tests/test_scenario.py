@@ -86,6 +86,9 @@ def test_parse_missing_keys_listed():
     [
         ("k_S", "-1"),
         ("k_S", "abc"),
+        # just above the bound, and where np.exp overflows
+        ("k_S", repr(math.nextafter(708.0, math.inf))),
+        ("k_S", "710"),
         ("k_P", "inf"),
         ("k_W", "nan"),
         ("mu", "1.5"),
