@@ -298,7 +298,8 @@ def _scan_draws(state, p, free, drawing, starts, size):
     # claimed cells in raster order (ascending flat index), so run by run
     movers: list[int] = []
     targets: list[int] = []
-    for t, group in sorted(claims.items()):
+    for t in sorted(claims):
+        group = claims[t]
         i = 0 if len(group) == 1 else _friction(state, size, t, len(group))
         if i is not None:
             movers.append(group[i])
@@ -310,10 +311,9 @@ def _friction(state, size, t, n):
     """Friction on cell t of the stack, claimed by n > 1 agents, from t's run's
     generator: None (nobody moves) with probability mu, else a uniform pick in range(n)."""
     s = t // size
-    rng = state.rngs[s]
-    if rng.random() < state.mu[s]:
+    if state.rngs[s].random() < state.mu[s]:
         return None
-    return min(int(rng.random() * n), n - 1)
+    return min(int(state.rngs[s].random() * n), n - 1)
 
 
 def _split_draws(state, p, free, drawing, risky, starts, size):
