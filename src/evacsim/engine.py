@@ -287,7 +287,7 @@ def _scan(rngs, prob, free, ranks, keys, starts):
 
 def _scan_draws(state, p, free, drawing, starts, size):
     """A step's draws and friction: the scan over every drawing agent, then
-    the contested cells from its claims.
+    the contested cells from its claims, in raster order (so run by run).
 
     p and free are step()'s per-agent tables, and run s's drawing agents
     are drawing[starts[s]:starts[s + 1]].  Returns (movers, cells): the
@@ -295,21 +295,22 @@ def _scan_draws(state, p, free, drawing, starts, size):
     """
     claims, _ = _scan(state.rngs, p.ravel().tolist(), free.ravel().tolist(),
                       range(drawing.size), drawing.tolist(), starts)
-    # claimed cells in raster order (ascending flat index), so run by run
     movers: list[int] = []
     targets: list[int] = []
     for t in sorted(claims):
         group = claims[t]
-        i = 0 if len(group) == 1 else _friction(state, size, t, len(group))
-        if i is not None:
+        if len(group) == 1:
+            movers.append(group[0])
+        elif (i := _friction(state, size, t, len(group))) is not None:
             movers.append(group[i])
-            targets.append(t)
+        else:
+            continue
+        targets.append(t)
     return movers, targets
 
 
 def _friction(state, size, t, n):
-    """Friction on cell t of the stack, claimed by n > 1 agents, from t's run's
-    generator: None (nobody moves) with probability mu, else a uniform pick in range(n)."""
+    """Friction on cell t among its n > 1 claimants: the mover's index, or None."""
     s = t // size
     if state.rngs[s].random() < state.mu[s]:
         return None
@@ -350,8 +351,7 @@ def _split_draws(state, p, free, drawing, risky, starts, size):
     won = heads[one].tolist()
     many = ~one
     for h, n, t in zip(heads[many].tolist(), counts[many].tolist(), cell[heads[many]].tolist()):
-        i = _friction(state, size, t, n)
-        if i is not None:
+        if (i := _friction(state, size, t, n)) is not None:
             won.append(h + i)
     return drawing[rows[won]], cell[won]
 
