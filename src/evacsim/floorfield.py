@@ -43,8 +43,10 @@ import numpy as np
 from .scenario import Grid
 
 SQRT2 = math.sqrt(2.0)
-# padded grids smaller than this skip the bucket phase: on them numpy's
-# fixed cost per round eats what the buckets save
+# padded grids smaller than this run the heap alone.  The bits are the same
+# either way; buckets win on the paper room (1,517 cells: 0.72-0.82 against
+# 1.08-1.49 ms a call, 2-core x86) and lose on corridor30 (175 cells: 0.36
+# against 0.03 ms), and a gate between the two is still to be measured
 BUCKET_MIN_CELLS = 4096
 # hand over to the heap at the FRONTIER_ROUNDS-th bucket in a row with
 # fewer than FRONTIER_CELLS cells

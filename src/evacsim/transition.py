@@ -18,8 +18,8 @@ step only gathers occupancy along rays and exponentiates with its k_P.
 The same rules written one cell and one direction at a time live in the
 test suite's oracles, as the reference these tables are checked against.
 
-r*_d is the run of free cells ahead before the first wall, capped at the
-sight radius r (people do not block sight), and
+r*_d counts the free cells up to the first blocked cell ahead, the edge
+included, at most n = min(r, max(h, w)) (people do not block sight), and
 
     D_d = min(1, (1/r*) * sum_{m=1..r*} phi(m / C) * occupancy[cell + m*d]),  C = (r* + 1) / sqrt(5)
 
@@ -48,16 +48,18 @@ class TransitionTables:
 
     Per direction d and cell: static_expo (field drop and wall term), nbr
     (cell + offset[d] if that neighbour is free, else the cell itself) and
-    row_key = d * (n + 1) + r*_d, where n = min(r, max(height, width)) bounds
-    r*: no free run in the grid is that long.  The m-th ray cell is
+    row_key = d * (n + 1) + r*_d.  r*_d, the free cells up to the first
+    blocked cell ahead, the edge included, at most n, is one prefix minimum
+    per direction over the walls, so the build's work grows with the room,
+    not with r, apart from the r-column ray rows.  The m-th ray cell is
     cell + m * offset[d] and its kernel weight depends on (m, r*) alone, so
     the rays are rows of three 4 * (n + 1)-row tables that row_key selects:
     off_rows (m * offset[d] up to r*, 0 past it, so every index is in the
     grid), w_rows (weights, 0.0 past r*) and div_rows (max(r*, 1)); 96 B per
-    cell, and rows sized by the grid, for any r.  The rows keep r columns:
-    the ray length sets numpy's summation order, so p's bits depend on it.
-    Past r* a ray stays on its own occupied cell, where weight 0.0 gives a
-    +0.0 product just as per-cell (size, r) rays do, so p has their bits.
+    cell.  The rows keep r columns: the ray length sets numpy's summation
+    order, so p's bits depend on it.  Past r* a ray stays on its own
+    occupied cell, where weight 0.0 gives a +0.0 product just as per-cell
+    (size, r) rays do, so p has their bits.
 
     field is compute_sff's array.  Of params only k_s, k_w and r are read.
     """
@@ -68,23 +70,19 @@ class TransitionTables:
         n = min(r, max(h, w))
         size = h * w
         s_flat = field.reshape(-1)
-        free_pad = np.zeros((h + 2 * n, w + 2 * n), dtype=bool)
-        free_pad[n:n + h, n:n + w] = grid.walls == 0
-
         cells = np.arange(size)
         ds = np.full((4, size), -np.inf)
-        r_star = np.empty((4, size), dtype=np.int64)
+        r_star = np.zeros((4, size), dtype=np.int64)
         nbr = np.empty((4, size), dtype=np.int64)
-        look = np.empty((n, h, w), dtype=bool)
-        for d, (di, dj) in enumerate(DIR_OFFSETS):
-            for m in range(1, n + 1):
-                look[m - 1] = free_pad[n + m * di:n + m * di + h, n + m * dj:n + m * dj + w]
-            # the run of free cells ahead: look[m - 1] becomes "the first m
-            # cells are free", and r* counts the m that hold
-            for m in range(1, n):
-                look[m] &= look[m - 1]
-            r_star[d] = look.sum(axis=0).reshape(-1)
-            free_next = look[0].reshape(-1)
+        # views of an (h, w) plane in which d runs along the rows, to higher columns
+        views = (lambda a: a.T[:, ::-1], lambda a: a, lambda a: a.T, lambda a: a[:, ::-1])
+        for d, ((di, dj), view) in enumerate(zip(DIR_OFFSETS, views)):
+            ahead = view(grid.walls) != 0
+            cols = np.arange(ahead.shape[1])
+            # the first blocked column past each cell, the edge included; r* stays 0 at the edge
+            first = np.minimum.accumulate(np.where(ahead, cols, cols.size)[:, :0:-1], axis=1)
+            np.minimum(first[:, ::-1] - cols[1:], n, out=view(r_star[d].reshape(h, w))[:, :-1])
+            free_next = r_star[d] > 0
             nbr[d] = np.where(free_next, cells + (di * w + dj), cells)
             # field drop towards a free neighbour, where both ends reach an exit
             s_next = s_flat[nbr[d]]

@@ -322,3 +322,17 @@ def test_tables_memory_is_bounded_in_r():
         tracemalloc.stop()
     assert retained_bytes(tables) < 4 * 2**20
     assert peak < 8 * 2**20
+    # the build's peak grows with r only by the r-column ray rows: on a 300²
+    # room r = 300 over r = 10 adds 6.6 MiB of them, where n look-ahead
+    # planes of 300² bools added 32 MiB
+    grid = open_grid(300, 300, [(150, 299)])
+    field = compute_sff(grid)
+    peak = {}
+    for r in (10, 300):
+        tracemalloc.start()
+        try:
+            TransitionTables(field, grid, params_for(rng, r))
+            peak[r] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak[300] - peak[10] < 12 * 2**20
