@@ -323,8 +323,8 @@ def test_tables_memory_is_bounded_in_r():
     assert retained_bytes(tables) < 4 * 2**20
     assert peak < 8 * 2**20
     # the build's peak grows with r only by the r-column ray rows: on a 300²
-    # room r = 300 over r = 10 adds 6.6 MiB of them, where n look-ahead
-    # planes of 300² bools added 32 MiB
+    # room r = 300 over r = 10 adds 6.6 MiB of them, where one bool plane
+    # per sight step, an (n, h, w) cube, would add 25 MiB more
     grid = open_grid(300, 300, [(150, 299)])
     field = compute_sff(grid)
     peak = {}
