@@ -43,11 +43,13 @@ import numpy as np
 from .scenario import Grid
 
 SQRT2 = math.sqrt(2.0)
-# padded grids smaller than this run the heap alone.  The bits are the same
-# either way; buckets win on the paper room (1,517 cells: 0.72-0.82 against
-# 1.08-1.49 ms a call, 2-core x86) and lose on corridor30 (175 cells: 0.36
-# against 0.03 ms), and a gate between the two is still to be measured
-BUCKET_MIN_CELLS = 4096
+# padded grids smaller than this run the heap alone; the bits are the same
+# either way.  Bucket/heap time a call (2-core x86, min of alternating rounds)
+# on enclosed open squares with a 3-cell exit: 0.99-1.06 at 576-676 cells,
+# 0.90 at 784, 0.81-0.84 at 1,024, 0.71 at 1,296; paper room (1,517) 0.67,
+# corridor30 (175) 12.8.  Rooms whose fronts stay under FRONTIER_CELLS (an
+# exit on a short wall, thin walled regions) cross later, up to 2,300 cells
+BUCKET_MIN_CELLS = 1024
 # hand over to the heap at the FRONTIER_ROUNDS-th bucket in a row with
 # fewer than FRONTIER_CELLS cells
 FRONTIER_CELLS = 32

@@ -68,38 +68,39 @@ class TransitionTables:
         h, w = grid.height, grid.width
         r = params.r
         n = min(r, max(h, w))
-        size = h * w
         s_flat = field.reshape(-1)
-        cells = np.arange(size)
-        ds = np.full((4, size), -np.inf)
-        r_star = np.zeros((4, size), dtype=np.int64)
-        nbr = np.empty((4, size), dtype=np.int64)
+        r_star = np.zeros((4, h * w), dtype=np.int64)
+        # the scans' columns in the narrowest integer that holds the longer side
+        cols_type = np.min_scalar_type(max(h, w))
         # views of an (h, w) plane in which d runs along the rows, to higher columns
         views = (lambda a: a.T[:, ::-1], lambda a: a, lambda a: a.T, lambda a: a[:, ::-1])
-        for d, ((di, dj), view) in enumerate(zip(DIR_OFFSETS, views)):
+        for d, view in enumerate(views):
             ahead = view(grid.walls) != 0
-            cols = np.arange(ahead.shape[1])
+            cols = np.arange(ahead.shape[1], dtype=cols_type)
             # the first blocked column past each cell, the edge included; r* stays 0 at the edge
             first = np.minimum.accumulate(np.where(ahead, cols, cols.size)[:, :0:-1], axis=1)
             np.minimum(first[:, ::-1] - cols[1:], n, out=view(r_star[d].reshape(h, w))[:, :-1])
-            free_next = r_star[d] > 0
-            nbr[d] = np.where(free_next, cells + (di * w + dj), cells)
-            # field drop towards a free neighbour, where both ends reach an exit
-            s_next = s_flat[nbr[d]]
-            ok = free_next & np.isfinite(s_next) & np.isfinite(s_flat)
-            np.subtract(s_flat, s_next, out=ds[d], where=ok)
+        offsets = np.array([di * w + dj for di, dj in DIR_OFFSETS])
+        # nbr: the cell + offset[d] where that neighbour is free, else the cell;
+        # ds: the field drop towards it, where both ends reach an exit
+        ok = r_star > 0
+        nbr = ok * offsets[:, None]
+        nbr += np.arange(h * w)
+        ds = s_flat.take(nbr)
+        ok &= np.isfinite(ds)
+        ok &= np.isfinite(s_flat)
+        np.subtract(s_flat, ds, out=ds, where=ok)
+        ds[~ok] = -np.inf
 
         # static_expo = k_s * ds - k_w * (1 - r*/r) * [ds >= max ds], or -inf
-        # where ds is, built in place in that operation order
-        ok = ds > -np.inf
-        wall = np.divide(r_star, r)
+        # where ds is (k_s = 0 would make it NaN), in that operation order; off
+        # the best directions the wall term is +0.0 and x - 0.0 = x
+        best = ds >= ds.max(axis=0)
+        np.multiply(params.k_s, ds, out=ds, where=ok)
+        wall = np.divide(r_star[best], r)
         np.subtract(1.0, wall, out=wall)
         np.multiply(params.k_w, wall, out=wall)
-        np.multiply(wall, ds >= ds.max(axis=0), out=wall)
-        with np.errstate(invalid="ignore"):  # k_s = 0 makes 0 * -inf where ok is False
-            np.multiply(params.k_s, ds, out=ds)
-            np.subtract(ds, wall, out=ds)
-        np.copyto(ds, -np.inf, where=~ok)
+        ds[best] -= wall
         self.static_expo = ds
         self.nbr = nbr
         self.row_key = np.add(r_star, (n + 1) * np.arange(4)[:, None], out=r_star)
@@ -111,7 +112,6 @@ class TransitionTables:
         past = steps > rs[:, None]
         z = steps.astype(np.float64) / ((rs + 1) / SQRT5)[:, None]
         phi = (_KERNEL_A - _KERNEL_B * (z * z)) * _KERNEL_SCALE
-        offsets = np.array([di * w + dj for di, dj in DIR_OFFSETS])
         self.off_rows = (offsets[:, None, None] * np.where(past, 0, steps)).reshape(-1, r)
         self.w_rows = np.tile(np.where(past, 0.0, phi), (4, 1))
         self.div_rows = np.tile(np.maximum(rs, 1).astype(np.float64), 4)

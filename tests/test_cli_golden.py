@@ -91,14 +91,15 @@ def differ_from_math_exp(args: np.ndarray) -> int:
     return int(np.sum(np.exp(args) != [math.exp(x) for x in args]))
 
 
-def avx512_targets() -> str:
-    """numpy's enabled AVX512 dispatch targets, not the single CPU features."""
+def avx512_dispatch_targets() -> list[str]:
+    """numpy's AVX512-level dispatch targets that are enabled in this process:
+    the names np.exp can dispatch to, not the single CPU features."""
     try:
-        from numpy._core._multiarray_umath import __cpu_features__
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_features__
-    return ", ".join(sorted(k for k, on in __cpu_features__.items()
-                            if on and (k.startswith("AVX512_") or k in ("AVX512F", "X86_V4"))))
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [t for t in __cpu_dispatch__
+            if (t == "X86_V4" or t.startswith("AVX512")) and __cpu_features__.get(t)]
 
 
 def test_exp_arguments_match_the_recording(tmp_path):
@@ -110,10 +111,11 @@ def test_exp_matches_the_recording_host():
     recorded = json.loads(EXP_CAPTURE.read_text())
     args = np.array([float.fromhex(h) for h in recorded["arguments"]])
     if exp_digest(args) != recorded["result_sha256"]:
+        enabled = ", ".join(avx512_dispatch_targets()) or "none"
         pytest.fail(
             f"np.exp gives other bits than on the recording host, so the golden "
             f"distributions bytes cannot hold here: numpy {np.__version__}, AVX512 "
-            f"targets enabled: {avx512_targets() or 'none'}; np.exp differs from math.exp "
+            f"targets enabled: {enabled}; np.exp differs from math.exp "
             f"on {differ_from_math_exp(args)} of {args.size} arguments here.  Recorded "
             f"with numpy {recorded['numpy']}, AVX512 targets "
             f"{recorded['avx512_targets'] or 'none'}, differing on "
@@ -128,7 +130,7 @@ if __name__ == "__main__":
     EXP_CAPTURE.write_text(json.dumps({
         "invocation": "run_single",
         "numpy": np.__version__,
-        "avx512_targets": avx512_targets(),
+        "avx512_targets": ", ".join(avx512_dispatch_targets()),
         "differ_from_math_exp": differ_from_math_exp(args),
         "result_sha256": exp_digest(args),
         "arguments": [float(x).hex() for x in args],

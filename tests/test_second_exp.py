@@ -26,20 +26,10 @@ import pytest
 
 from conftest import src_env
 from evacsim.cli import main
-from test_cli_golden import GOLDEN, INVOCATIONS, ROOM, tree_sha256
+from test_cli_golden import GOLDEN, INVOCATIONS, ROOM, avx512_dispatch_targets, tree_sha256
 from test_corpus import CORPUS, ROOMS, room_digests
 
 DIFFERS = {"run_single": {"s1/distributions_t3.csv"}, "run_batch": set(), "sweep": set()}
-
-
-def avx512_dispatch_targets() -> list[str]:
-    """numpy's AVX512-level dispatch targets that are enabled in this process."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    return [t for t in __cpu_dispatch__
-            if (t == "X86_V4" or t.startswith("AVX512")) and __cpu_features__.get(t)]
 
 
 def second_exp_digests(out: Path) -> dict:

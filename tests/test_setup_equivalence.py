@@ -10,6 +10,7 @@ distributions: tables built for params that differ in k_P alone are the
 same bytes and give the same distributions for any k_P they are called with.
 """
 
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -172,6 +173,35 @@ def test_sff_matches_heapq_oracle_above_the_gate(name, stage, monkeypatch):
         assert max(sizes[:at]) >= floorfield.FRONTIER_CELLS
         assert len(sizes) - at > floorfield.FRONTIER_ROUNDS
     assert handed_over_at == [np.sort(field[np.isfinite(field)])[sum(sizes[:at])]]
+
+
+def test_bucket_gate_sits_between_corridor30_and_the_paper_room(monkeypatch):
+    # the paper room runs the bucket phase, the small shipped rooms the heap
+    # alone, and a grid on each side of the gate gives the heap's bits
+    calls = []
+
+    def bucket_phase(*args):
+        calls.append(args)
+        return run_bucket_phase(*args)
+
+    def runs_buckets(grid):
+        calls.clear()
+        check_sff(grid)
+        return bool(calls)
+
+    run_bucket_phase = floorfield._bucket_phase
+    monkeypatch.setattr(floorfield, "_bucket_phase", bucket_phase)
+    grids = special_grids()
+    assert runs_buckets(grids["room37x33"])
+    assert not runs_buckets(grids["corridor30"])
+    assert not runs_buckets(grids["bottleneck2"])
+    rng = np.random.default_rng(23)
+    for cells in (floorfield.BUCKET_MIN_CELLS - 1, floorfield.BUCKET_MIN_CELLS):
+        # the squarest padded shape of exactly that many cells
+        rows = max(d for d in range(3, math.isqrt(cells) + 1) if cells % d == 0)
+        grid = random_grid(rng, rows - 2, cells // rows - 2, 0.2, 2, enclosed=True)
+        assert (grid.height + 2) * (grid.width + 2) == cells
+        assert runs_buckets(grid) == (cells == floorfield.BUCKET_MIN_CELLS)
 
 
 @pytest.mark.parametrize("seed", range(6))
