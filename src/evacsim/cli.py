@@ -27,8 +27,7 @@ from .engine import run_batch
 from .floorfield import compute_sff
 from .metrics import export_csv, export_field_csv, render_snapshot
 from .scenario import (
-    PARAM_ATTRS,
-    PARAM_KEYS,
+    PARAMS,
     Scenario,
     ScenarioError,
     parse_param,
@@ -68,7 +67,7 @@ def _run_chunk(tasks: list[tuple[Scenario, str]], snapshot_steps: tuple[int, ...
                     print(f"note: {f.name} has no rows: the run ended at step "
                           f"{result.curve[-1][0]}", file=sys.stderr)
         done.append((result.evac_time,
-                     {s.step: s.value for s in result.spread if s.step in snapshot_steps}))
+                     {t: v for t, v in result.spread if t in snapshot_steps}))
     return done
 
 
@@ -120,9 +119,9 @@ def _parse_set_flags(pairs: list[str]) -> dict:
     for pair in pairs:
         key, eq, raw = pair.partition("=")
         key = key.strip()
-        if not eq or key not in PARAM_KEYS:
+        if not eq or key not in PARAMS:
             raise ScenarioError(f"--set expects key=value with a known key, got {pair!r}")
-        out[PARAM_ATTRS[key]] = parse_param(key, raw.strip())
+        out[PARAMS[key][0]] = parse_param(key, raw.strip())
     return out
 
 
@@ -154,13 +153,13 @@ def _command(args) -> int:
     if args.sweep is not None:
         param, _, raw_values = args.sweep.partition("=")
         param = param.strip()
-        if param not in PARAM_KEYS:
-            raise ScenarioError(f"--sweep key must be one of {', '.join(PARAM_KEYS)}, got {param!r}")
+        if param not in PARAMS:
+            raise ScenarioError(f"--sweep key must be one of {', '.join(PARAMS)}, got {param!r}")
         if param == "seed":
             raise ScenarioError("cannot sweep seed; use --seeds")
         # values compare as parsed (6 and 6.0 are one); each keeps its text
         values = _parse_list(raw_values, "--sweep", partial(parse_param, param))
-        groups = [([param, v], {PARAM_ATTRS[param]: value}, f"p{v}_")
+        groups = [([param, v], {PARAMS[param][0]: value}, f"p{v}_")
                   for v, value in zip(_parse_list(raw_values, "--sweep", str), values)]
 
     noted = partial(_note_warnings, set())

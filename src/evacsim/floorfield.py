@@ -62,7 +62,7 @@ def compute_sff(grid: Grid) -> np.ndarray:
     exits, +inf on walls and on cells with no path to any exit."""
     pw = grid.width + 2
     padded = np.ones((grid.height + 2, pw), dtype=bool)
-    padded[1:-1, 1:-1] = grid.walls != 0
+    padded[1:-1, 1:-1] = grid.walls
     exits = [(i + 1) * pw + j + 1 for i, j in sorted(grid.exits)]
     # DIR_OFFSETS order; each diagonal with the two cells it cuts between
     ortho = (-pw, 1, pw, -1)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from statistics import mean
-from typing import IO
+from typing import IO, NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ _KIND_GLYPHS = np.array([ord(c) for c in FLOOR_GLYPH + WALL_GLYPH + EXIT_GLYPH +
 _KIND_GRAYS = np.array([PGM_FLOOR, PGM_WALL, PGM_EXIT, PGM_AGENT], dtype=np.uint8)
 
 
-@dataclass(frozen=True)
-class SpreadSample:
+class SpreadSample(NamedTuple):
     step: int
     value: float
 
@@ -101,7 +100,7 @@ def render_snapshot(occupancy: np.ndarray, grid: Grid) -> tuple[str, bytes]:
     128, floor 255.
     """
     kind = np.zeros((grid.height, grid.width), dtype=np.intp)
-    kind[grid.walls != 0] = 1
+    kind[grid.walls] = 1
     kind[grid.exit_mask] = 2
     kind[occupancy != 0] = 3
     lines = np.full((grid.height, grid.width + 1), ord("\n"), dtype=np.uint8)
@@ -120,7 +119,7 @@ def export_csv(result: SimulationResult, stream: IO[str]) -> None:
         if b > a:
             raise ValueError("evacuation curve must be non-increasing")
     writer = csv.writer(stream, lineterminator="\n")
-    by_step = {s.step: s.value for s in result.spread}
+    by_step = dict(result.spread)
     cols = 3 if by_step else 2
     writer.writerow(["step", "remaining", "spread"][:cols])
     for step, remaining in result.curve:

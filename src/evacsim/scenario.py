@@ -30,8 +30,7 @@ import math
 import numbers
 import sys
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,32 +44,21 @@ _GLYPHS = frozenset((WALL_GLYPH, FLOOR_GLYPH, EXIT_GLYPH, AGENT_GLYPH))
 # grid, row 0 at the top, so "up" decreases the row index.
 DIR_OFFSETS = ((-1, 0), (0, 1), (1, 0), (0, -1))
 
-# file key -> ModelParams attribute, in the file's key order
-PARAM_ATTRS = {
-    "k_S": "k_s",
-    "k_P": "k_p",
-    "k_W": "k_w",
-    "r": "r",
-    "mu": "mu",
-    "seed": "seed",
-    "max_steps": "max_steps",
-}
-PARAM_KEYS = tuple(PARAM_ATTRS)
-
-# ModelParams attribute -> (type of the parsed value, range test, the range
-# in words); the one statement of each parameter's rule
+# file key -> (ModelParams attribute, type of the parsed value, range test,
+# the range in words), in the file's key order; the one statement of each
+# parameter's rule
 _WEIGHT = (float, lambda v: math.isfinite(v) and v >= 0.0, "a finite real >= 0")
-PARAM_RANGES = {
+PARAMS = {
     # k_S weighs dS, the field drop to an orthogonal neighbour: at most 1 plus
     # rounding, and the exponent's other terms only subtract.  Four weights of
     # at most e^708.01 stay below the largest double, e^709.78 (4 < e^1.39).
-    "k_s": (float, lambda v: 0.0 <= v <= 708.0, "a real in [0, 708]"),
-    "k_p": _WEIGHT,
-    "k_w": _WEIGHT,
-    "r": (int, lambda v: v >= 1, "an integer >= 1"),
-    "mu": (float, lambda v: 0.0 <= v <= 1.0, "a real in [0, 1]"),
-    "seed": (int, lambda v: 0 <= v < 2**64, "an integer in [0, 2^64)"),
-    "max_steps": (int, lambda v: v >= 1, "an integer >= 1"),
+    "k_S": ("k_s", float, lambda v: 0.0 <= v <= 708.0, "a real in [0, 708]"),
+    "k_P": ("k_p", *_WEIGHT),
+    "k_W": ("k_w", *_WEIGHT),
+    "r": ("r", int, lambda v: v >= 1, "an integer >= 1"),
+    "mu": ("mu", float, lambda v: 0.0 <= v <= 1.0, "a real in [0, 1]"),
+    "seed": ("seed", int, lambda v: 0 <= v < 2**64, "an integer in [0, 2^64)"),
+    "max_steps": ("max_steps", int, lambda v: v >= 1, "an integer >= 1"),
 }
 
 Cell = tuple[int, int]
@@ -93,11 +81,12 @@ class ScenarioError(ValueError):
 
 
 def place(walls: np.ndarray, cells, noun: str = "agent") -> tuple[np.ndarray, list[str]]:
-    """The placement rule: a cell is two integers (not bool) on walls' grid,
-    not a wall, and no earlier cell's.  Returns, in the cells' order, the int64
-    flat row-major index of each cell that keeps it and a message for each other."""
+    """The placement rule: a cell is two integers (not bool) on the grid of
+    walls (a Grid's bool mask), not a wall, and no earlier cell's.  Returns,
+    in the cells' order, the int64 flat row-major index of each cell that
+    keeps it and a message for each other."""
     h, w = walls.shape
-    blocked = (walls != 0).tobytes()
+    blocked = walls.tobytes()
     flat: list[int] = []
     problems: list[str] = []
     seen: set[int] = set()
@@ -123,41 +112,45 @@ def place(walls: np.ndarray, cells, noun: str = "agent") -> tuple[np.ndarray, li
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Room geometry: wall matrix plus the set of exit cells.
+    """Room geometry: wall mask plus the set of exit cells.
 
-    walls is a (height, width) uint8 array, 1 where movement is blocked.
-    Exit cells are always free floor.  An exit-less grid can be built (it
-    shows up while editing rooms) but fails scenario validation.
+    Built from walls, a 2-D array nonzero where movement is blocked, and
+    the exit cells.  The grid keeps its own read-only bool copy of the mask
+    as walls (so later writes to the given array do not reach it), height
+    and width are its shape, and exit_mask is a read-only bool mask of the
+    exits.  Exit cells are always free floor.  An exit-less grid can be
+    built (it shows up while editing rooms) but fails scenario validation.
     """
 
-    height: int
-    width: int
     walls: np.ndarray
     exits: frozenset[Cell]
+    height: int = field(init=False)
+    width: int = field(init=False)
+    exit_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.walls.shape != (self.height, self.width):
-            raise ValueError(f"walls shape {self.walls.shape} != {(self.height, self.width)}")
-        _, problems = place(self.walls, sorted(self.exits), "exit")
+        walls = np.asarray(self.walls) != 0
+        if walls.ndim != 2:
+            raise ValueError(f"walls must be 2-D, got shape {walls.shape}")
+        flat, problems = place(walls, sorted(self.exits), "exit")
         if problems:
             raise ValueError(problems[0])
+        exit_mask = np.zeros(walls.shape, dtype=bool)
+        exit_mask.flat[flat] = True
+        walls.flags.writeable = exit_mask.flags.writeable = False
+        height, width = walls.shape
+        for name, value in (("walls", walls), ("height", height), ("width", width),
+                            ("exit_mask", exit_mask)):
+            object.__setattr__(self, name, value)
 
-    @cached_property
-    def exit_mask(self) -> np.ndarray:
-        mask = np.zeros((self.height, self.width), dtype=bool)
-        for i, j in self.exits:
-            mask[i, j] = True
-        return mask
+    def __reduce__(self):
+        # rebuilt from the two inputs, so a copy's masks are read-only too
+        return Grid, (self.walls, self.exits)
 
     def __eq__(self, other):
         if not isinstance(other, Grid):
             return NotImplemented
-        return (
-            self.height == other.height
-            and self.width == other.width
-            and np.array_equal(self.walls, other.walls)
-            and self.exits == other.exits
-        )
+        return np.array_equal(self.walls, other.walls) and self.exits == other.exits
 
 
 @dataclass(frozen=True)
@@ -168,7 +161,8 @@ class ModelParams:
     the wall/obstacle penalty in the transition probabilities.  r is the
     sight radius in cells, mu the friction probability of an unresolved
     conflict, seed feeds the run's random generator, max_steps bounds the
-    simulation loop.
+    simulation loop.  Each attribute's type and range is its row of PARAMS,
+    checked on construction.
     """
 
     k_s: float
@@ -180,8 +174,8 @@ class ModelParams:
     max_steps: int
 
     def __post_init__(self):
-        for attr in PARAM_RANGES:
-            check_param(attr, getattr(self, attr))
+        for key, (attr, *_) in PARAMS.items():
+            check_param(key, getattr(self, attr))
         # sensitivity to people and walls below the distance sensitivity is
         # legal but usually a sign of a mistyped parameter set
         if self.k_p < self.k_s or self.k_w < self.k_s:
@@ -205,9 +199,10 @@ class Scenario:
     params: ModelParams
 
 
-def check_param(attr: str, value) -> None:
-    """Raise ValueError unless value has ModelParams.<attr>'s type and range."""
-    kind, in_range, words = PARAM_RANGES[attr]
+def check_param(key: str, value) -> None:
+    """Raise ValueError, naming the attribute, unless value has the type and
+    range of parameter key (a file key, e.g. "k_S")."""
+    attr, kind, in_range, words = PARAMS[key]
     abc = numbers.Integral if kind is int else numbers.Real
     if isinstance(value, bool) or not isinstance(value, abc) or not in_range(value):
         raise ValueError(f"{attr} must be {words}, got {value!r}")
@@ -216,11 +211,10 @@ def check_param(attr: str, value) -> None:
 def parse_param(key: str, raw: str, line: int | None = None):
     """Convert the text of parameter key (a file key, e.g. "k_S") and check
     its range; ScenarioError names the key, the text and, given, its line."""
-    attr = PARAM_ATTRS[key]
-    kind, _, words = PARAM_RANGES[attr]
+    _, kind, _, words = PARAMS[key]
     try:
         value = kind(raw)
-        check_param(attr, value)
+        check_param(key, value)
     except ValueError:
         raise ScenarioError(f"{key}: must be {words}, got {raw!r}", line=line) from None
     return value
@@ -247,13 +241,13 @@ def parse_scenario(text: str) -> Scenario:
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in PARAM_KEYS:
+        if key not in PARAMS:
             raise ScenarioError(f"unknown parameter key {key!r}", line=line_no)
         if key in raw_params:
             raise ScenarioError(f"duplicate parameter key {key!r}", line=line_no)
         raw_params[key] = parse_param(key, raw, line_no)
         n += 1
-    missing = [k for k in PARAM_KEYS if k not in raw_params]
+    missing = [k for k in PARAMS if k not in raw_params]
     if missing:
         raise ScenarioError(f"missing parameter keys: {', '.join(missing)}")
 
@@ -285,14 +279,13 @@ def parse_scenario(text: str) -> Scenario:
     if not rows:
         raise ScenarioError("missing map section")
 
-    height, width = len(rows), len(rows[0])
-    glyphs = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8).reshape(height, width)
-    walls = (glyphs == ord(WALL_GLYPH)).astype(np.uint8)
+    glyphs = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8).reshape(len(rows), -1)
+    walls = glyphs == ord(WALL_GLYPH)
     exits = frozenset(map(tuple, np.argwhere(glyphs == ord(EXIT_GLYPH)).tolist()))
     agents = tuple(map(tuple, np.argwhere(glyphs == ord(AGENT_GLYPH)).tolist()))
 
-    grid = Grid(height=height, width=width, walls=walls, exits=exits)
-    params = ModelParams(**{PARAM_ATTRS[key]: value for key, value in raw_params.items()})
+    grid = Grid(walls, exits)
+    params = ModelParams(**{PARAMS[key][0]: value for key, value in raw_params.items()})
     return Scenario(grid=grid, initial_agents=agents, params=params)
 
 
@@ -309,7 +302,7 @@ def validate(scenario: Scenario, field: np.ndarray) -> list[str]:
     if not grid.exits:
         problems.append("no exit cells")
 
-    open_border = (grid.walls == 0) & ~grid.exit_mask
+    open_border = ~(grid.walls | grid.exit_mask)
     open_border[1:-1, 1:-1] = False
     problems += [f"open border at ({i}, {j})" for i, j in np.argwhere(open_border).tolist()]
 

@@ -75,7 +75,7 @@ class TransitionTables:
         # views of an (h, w) plane in which d runs along the rows, to higher columns
         views = (lambda a: a.T[:, ::-1], lambda a: a, lambda a: a.T, lambda a: a[:, ::-1])
         for d, view in enumerate(views):
-            ahead = view(grid.walls) != 0
+            ahead = view(grid.walls)
             cols = np.arange(ahead.shape[1], dtype=cols_type)
             # the first blocked column past each cell, the edge included; r* stays 0 at the edge
             first = np.minimum.accumulate(np.where(ahead, cols, cols.size)[:, :0:-1], axis=1)

@@ -70,7 +70,7 @@ def random_grid(rng, h, w, wall_frac, n_exits, enclosed=False):
         exits = {tuple(int(x) for x in free[k]) for k in picks}
         for cell in exits:
             walls[cell] = 0
-    return Grid(height=h, width=w, walls=walls, exits=frozenset(exits))
+    return Grid(walls, frozenset(exits))
 
 
 @pytest.fixture

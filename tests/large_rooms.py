@@ -25,7 +25,7 @@ def _grid(walls, exits):
     exits = frozenset(exits)
     for cell in exits:
         walls[cell] = 0
-    return Grid(height=walls.shape[0], width=walls.shape[1], walls=walls, exits=exits)
+    return Grid(walls, exits)
 
 
 def _enclosed(h, w):

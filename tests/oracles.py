@@ -48,7 +48,7 @@ from evacsim.scenario import (
     DIR_OFFSETS,
     EXIT_GLYPH,
     FLOOR_GLYPH,
-    PARAM_ATTRS,
+    PARAMS,
     WALL_GLYPH,
     Cell,
     Grid,
@@ -578,7 +578,7 @@ def transition_distribution(
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Render a Scenario back to file text (parse . serialize is identity)."""
-    out = [f"{key} = {getattr(scenario.params, attr)!r}" for key, attr in PARAM_ATTRS.items()]
+    out = [f"{key} = {getattr(scenario.params, attr)!r}" for key, (attr, *_) in PARAMS.items()]
     out.append("")
     grid = scenario.grid
     occupied = set(scenario.initial_agents)

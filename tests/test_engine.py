@@ -218,7 +218,7 @@ def rooms_with_agents(draw):
     agents = draw(st.lists(cell, max_size=8))
     if agents:
         agents = draw(st.permutations(agents + draw(st.lists(st.sampled_from(agents), max_size=3))))
-    return Grid(height=h, width=w, walls=walls, exits=frozenset()), tuple(agents)
+    return Grid(walls, frozenset()), tuple(agents)
 
 
 @settings(max_examples=300, deadline=None)

@@ -127,7 +127,7 @@ def test_removing_wall_never_increases_distance():
         pick = tuple(int(x) for x in wall_cells[int(rng.integers(len(wall_cells)))])
         walls = grid.walls.copy()
         walls[pick] = 0
-        opened = type(grid)(grid.height, grid.width, walls, grid.exits)
+        opened = type(grid)(walls, grid.exits)
         after = compute_sff(opened)
         finite = np.isfinite(before)
         assert (after[finite] <= before[finite] + 1e-12).all()

@@ -14,7 +14,9 @@ import keeps a dead binding that tools reading the module take for a live
 one.  The CLI reads no k_S, k_W or r: which runs share a set-up is
 engine.run_batch's rule alone.  The package calls no numpy Generator
 method but random(): the byte contract rests on rng.random() being the
-only draw a run's stream ever serves.
+only draw a run's stream ever serves.  A Grid turns the walls it is
+given into its bool mask once, in Grid.__post_init__: no other package
+code compares a walls array with a number or casts it with astype.
 """
 
 import ast
@@ -161,3 +163,43 @@ def test_no_generator_method_but_random_in_src():
     ]
     assert any(attr == "random" for _, attr in called)
     assert [f"{where} {attr}" for where, attr in called if attr in _OTHER_DRAWS] == []
+
+
+# reads of a walls array that do not touch its cells
+_NOT_CELLS = frozenset({"shape", "ndim", "size", "dtype"})
+
+
+def _reads_walls(node) -> bool:
+    """Whether node's value is built from the cells of a walls array."""
+    if isinstance(node, ast.Attribute) and node.attr in _NOT_CELLS:
+        return False
+    if isinstance(node, ast.Name) and node.id == "walls" or (
+            isinstance(node, ast.Attribute) and node.attr == "walls"):
+        return True
+    return any(_reads_walls(child) for child in ast.iter_child_nodes(node))
+
+
+def test_walls_mask_is_derived_only_in_grid():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        post_init = [
+            (node.lineno, node.end_lineno)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "Grid"
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+        ]
+        for node in ast.walk(tree):
+            if any(first <= getattr(node, "lineno", 0) <= last for first, last in post_init):
+                continue
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                number = any(isinstance(o, ast.Constant) and type(o.value) in (int, float)
+                             for o in operands)
+                if number and any(map(_reads_walls, operands)):
+                    found.append(f"{path.name}:{node.lineno} compared with a number")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "astype" and _reads_walls(node.func.value)):
+                found.append(f"{path.name}:{node.lineno} astype")
+    assert found == []

@@ -74,7 +74,7 @@ def test_lateral_offsets_scattered_exits_none():
 def test_lateral_offsets_exitless_grid_none():
     walls = np.ones((3, 4), dtype=np.uint8)
     walls[1, 1:3] = 0
-    assert lateral_offsets(Grid(height=3, width=4, walls=walls, exits=frozenset())) is None
+    assert lateral_offsets(Grid(walls, frozenset())) is None
 
 
 def test_lateral_offsets_single_exit_in_a_horizontal_wall_gives_row_offsets():

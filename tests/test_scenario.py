@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 import warnings
 from dataclasses import replace
@@ -9,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scenario, scenario_text
+from evacsim import run
 from evacsim.cli import main
 from evacsim.floorfield import compute_sff
 from evacsim.scenario import (
-    PARAM_ATTRS,
-    PARAM_RANGES,
+    PARAMS,
     Grid,
     ModelParams,
     Scenario,
@@ -103,8 +104,7 @@ def test_parse_missing_keys_listed():
 def test_parse_out_of_range_values(key, value, tmp_path, capsys):
     # the scenario file, --set and ModelParams all reject the value, and
     # the two text paths with the same message
-    attr = PARAM_ATTRS[key]
-    kind, _, words = PARAM_RANGES[attr]
+    attr, kind, _, words = PARAMS[key]
     message = f"{key}: must be {words}, got {value!r}"
     with pytest.raises(ScenarioError, match=f"^{re.escape(message)} \\(line \\d+\\)$"):
         make_scenario(ROOM, **{key: value})
@@ -180,7 +180,7 @@ def scenarios(draw):
 def test_round_trip_random_rooms(sc):
     again = parse_scenario(serialize_scenario(sc))
     assert again.grid == sc.grid
-    assert again.grid.walls.dtype == np.uint8
+    assert again.grid.walls.dtype == bool
     assert again.initial_agents == sc.initial_agents
     assert all(type(x) is int for cell in again.initial_agents for x in cell)
     assert again.params == sc.params
@@ -276,7 +276,7 @@ def test_params_warns_when_people_weight_below_k_s():
         {"mu": 1.2},
         {"seed": -3},
         {"max_steps": 0},
-        # the type column of PARAM_RANGES: a wrong type is a range error
+        # the type column of PARAMS: a wrong type is a range error
         {"r": 2.5},
         {"seed": 1.5},
         {"r": True},
@@ -286,7 +286,7 @@ def test_params_warns_when_people_weight_below_k_s():
 def test_model_params_programmatic_rejects(kwargs):
     base = dict(k_s=4.0, k_p=6.0, k_w=4.0, r=10, mu=0.0, seed=1, max_steps=10)
     [(attr, value)] = kwargs.items()
-    words = PARAM_RANGES[attr][2]
+    [words] = [row[3] for row in PARAMS.values() if row[0] == attr]
     with pytest.raises(ValueError, match=re.escape(f"{attr} must be {words}, got {value!r}")):
         ModelParams(**{**base, **kwargs})
 
@@ -295,12 +295,50 @@ def test_grid_invariants():
     walls = np.zeros((3, 3), dtype=np.uint8)
     walls[1, 1] = 1
     with pytest.raises(ValueError, match="exit on wall"):
-        Grid(height=3, width=3, walls=walls, exits=frozenset({(1, 1)}))
+        Grid(walls, frozenset({(1, 1)}))
     with pytest.raises(ValueError, match="out of bounds"):
-        Grid(height=3, width=3, walls=walls, exits=frozenset({(5, 0)}))
+        Grid(walls, frozenset({(5, 0)}))
     with pytest.raises(ValueError, match=re.escape("exit at (1.5, 0) is not two integers")):
-        Grid(height=3, width=3, walls=walls, exits=frozenset({(1.5, 0)}))
-    g = Grid(height=3, width=3, walls=walls, exits=frozenset({(0, 0)}))
+        Grid(walls, frozenset({(1.5, 0)}))
+    g = Grid(walls, frozenset({(0, 0)}))
     assert g.exit_mask[0, 0] and g.exit_mask.sum() == 1
-    same = Grid(height=3, width=3, walls=walls.copy(), exits=frozenset({(0, 0)}))
+    same = Grid(walls.copy(), frozenset({(0, 0)}))
     assert g == same
+
+    # the grid keeps its own mask: walling over the only exit in the
+    # caller's array afterwards changes neither the grid, its field nor
+    # validate's list, and the run still empties the room
+    room = np.array([[c == "#" for c in row] for row in ROOM.split()], dtype=np.uint8)
+    sc = replace(make_scenario(ROOM), grid=Grid(room, frozenset({(1, 4)})))
+    walls, field = sc.grid.walls.copy(), compute_sff(sc.grid)
+    room[1, 4] = 1
+    assert np.array_equal(sc.grid.walls, walls) and sc.grid.exit_mask[1, 4]
+    assert compute_sff(sc.grid).tobytes() == field.tobytes()
+    assert validate(sc, compute_sff(sc.grid)) == []
+    assert run(replace(sc, params=replace(sc.params, max_steps=50))).evac_time is not None
+
+    # the masks are read-only bool arrays, in a pickled copy too
+    for grid in (g, pickle.loads(pickle.dumps(g))):
+        assert grid.walls.dtype == grid.exit_mask.dtype == bool
+        for mask in (grid.walls, grid.exit_mask):
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0, 0] = not mask[0, 0]
+
+    # any nonzero value is a wall: masks of 2s and of 0.5s give the 0/1
+    # mask's grid, field bits and validate list (an open border, a sealed
+    # agent)
+    room = np.array([[c == "#" for c in row] for row in ["######", "#.#.E#", "#.#..#", "###.##"]],
+                    dtype=np.uint8)
+    base = replace(make_scenario(ROOM), initial_agents=((1, 1), (2, 3)))
+    want = None
+    for scale in (1, 2, 0.5):
+        sc = replace(base, grid=Grid(room * scale, frozenset({(1, 4)})))
+        field = compute_sff(sc.grid)
+        got = (sc.grid, field.tobytes(), validate(sc, field))
+        want = want or got
+        assert got == want, scale
+    assert want[2] == ["open border at (3, 3)", "unreachable agent at (1, 1)"]
+
+    for shape in ((3,), (2, 3, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"walls must be 2-D, got shape {shape}")):
+            Grid(np.zeros(shape, dtype=np.uint8), frozenset())

@@ -85,7 +85,7 @@ def open_grid(h, w, exits, walls=()):
     mask = np.zeros((h, w), dtype=np.uint8)
     for cell in walls:
         mask[cell] = 1
-    return Grid(height=h, width=w, walls=mask, exits=frozenset(exits))
+    return Grid(mask, frozenset(exits))
 
 
 def special_grids():
@@ -245,7 +245,7 @@ def grids(draw):
     walls = walls.reshape(h, w)
     free = [tuple(int(x) for x in c) for c in np.argwhere(walls == 0)]
     exits = draw(st.lists(st.sampled_from(free), max_size=4, unique=True)) if free else []
-    return Grid(height=h, width=w, walls=walls, exits=frozenset(exits))
+    return Grid(walls, frozenset(exits))
 
 
 @settings(max_examples=150, deadline=None)
