@@ -173,8 +173,9 @@ def _reads_walls(node) -> bool:
     """Whether node's value is built from the cells of a walls array."""
     if isinstance(node, ast.Attribute) and node.attr in _NOT_CELLS:
         return False
-    if isinstance(node, ast.Name) and node.id == "walls" or (
-            isinstance(node, ast.Attribute) and node.attr == "walls"):
+    if isinstance(node, ast.Name):
+        return node.id == "walls"
+    if isinstance(node, ast.Attribute) and node.attr == "walls":
         return True
     return any(_reads_walls(child) for child in ast.iter_child_nodes(node))
 
