@@ -35,11 +35,6 @@ from .scenario import (
     validate,
 )
 
-# default snapshot set; matches the standard six panels used for the big
-# 300-person room so figures line up without extra flags
-DEFAULT_SNAPSHOT_STEPS = (25, 65, 135, 165, 180, 225)
-
-
 def _run_chunk(tasks: list[tuple[Scenario, str]], snapshot_steps: tuple[int, ...],
                capture_step: int | None) -> list:
     """Run one chunk of (scenario, output directory) tasks in lockstep and
@@ -135,9 +130,7 @@ def _command(args) -> int:
     completed runs only, complete as a fraction, spread per recorded step.
     Every flag is checked before the scenario file is read.
     """
-    if args.snapshot_steps is None:
-        snapshot_steps = DEFAULT_SNAPSHOT_STEPS
-    elif args.snapshot_steps.strip().lower() in ("", "none"):
+    if args.snapshot_steps.strip().lower() in ("", "none"):
         snapshot_steps = ()
     else:
         snapshot_steps = tuple(_parse_list(args.snapshot_steps, "--snapshot-steps", _parse_step))
@@ -234,9 +227,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="scenario file path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seeds", help="comma-separated seeds (default: the scenario's seed)")
-        p.add_argument("--snapshot-steps", metavar="LIST",
+        # the default is the standard six panels used for the big 300-person
+        # room, so figures line up without extra flags
+        p.add_argument("--snapshot-steps", metavar="LIST", default="25,65,135,165,180,225",
                        help="comma-separated steps to snapshot as txt + pgm "
-                            "(default: 25,65,135,165,180,225; 'none' disables)")
+                            "(default: %(default)s; 'none' disables)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a scenario parameter (repeatable)")
         p.add_argument("--workers", type=int, default=1, help="parallel worker processes")

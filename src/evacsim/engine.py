@@ -63,6 +63,7 @@ from dataclasses import dataclass, replace
 from itertools import accumulate, groupby
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 from .floorfield import compute_sff
 from .metrics import SimulationResult, SpreadSample, lateral_offsets, spread_metric
@@ -108,7 +109,7 @@ class SimulationState:
     ids: np.ndarray
     cells: np.ndarray
     step: int
-    rngs: list[np.random.Generator]
+    rngs: list[Generator]
     k_p: np.ndarray
     mu: list[float]
 
@@ -142,7 +143,7 @@ def initial_state(*scenarios: Scenario) -> SimulationState:
     occ.reshape(-1)[cells] = 1
     return SimulationState(
         occupancy=occ, ids=np.concatenate(ids), cells=cells, step=0,
-        rngs=[np.random.Generator(np.random.PCG64(sc.params.seed)) for sc in scenarios],
+        rngs=[Generator(PCG64(sc.params.seed)) for sc in scenarios],
         k_p=np.array([sc.params.k_p for sc in scenarios], dtype=np.float64),
         mu=[sc.params.mu for sc in scenarios],
     )

@@ -1,9 +1,10 @@
 """Scenario definition: room geometry, agents, model parameters, file I/O.
 
-Scenario files are plain 7-bit ASCII with two sections separated by a blank
-line.  The first section is one ``key = value`` pair per line and must give
-exactly the keys k_S, k_P, k_W, r, mu, seed, max_steps.  The second section
-is a rectangular character map of the room::
+Scenario files are plain 7-bit ASCII: ``key = value`` parameter lines giving
+exactly the keys k_S, k_P, k_W, r, mu, seed, max_steps, then a rectangular
+character map of the room.  Parameters up to the first blank line, the map
+from its first filled line to its last: blank lines around the map are
+accepted, blank lines inside it are not::
 
     k_S = 4
     k_P = 6
@@ -223,61 +224,49 @@ def parse_param(key: str, raw: str, line: int | None = None):
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text into a Scenario.
 
-    Raises ScenarioError with a 1-based line (and column for map glyph
-    errors) on malformed input: bad syntax, unknown/duplicate/missing
-    parameter keys, out-of-range values, ragged or empty maps.
+    Parameters up to the first blank line, the map from its first filled
+    line to its last: blank lines around the map are accepted, blank lines
+    inside it are not.  Raises ScenarioError with a 1-based line (and column
+    for map glyph errors) on malformed input: bad syntax, unknown/duplicate/
+    missing parameter keys, out-of-range values, ragged or empty maps.
     """
     if not text.isascii():
         raise ScenarioError("scenario file must be 7-bit ASCII")
     lines = text.split("\n")
+    sep = next((n for n, line in enumerate(lines) if not line.strip()), len(lines))
 
     raw_params: dict[str, object] = {}
-    n = 0
-    while n < len(lines) and lines[n].strip() != "":
-        line = lines[n]
-        line_no = n + 1
+    for line_no, line in enumerate(lines[:sep], 1):
         if "=" not in line:
             raise ScenarioError(f"expected 'key = value', got {line!r}", line=line_no)
         key, _, raw = line.partition("=")
         key = key.strip()
-        raw = raw.strip()
         if key not in PARAMS:
             raise ScenarioError(f"unknown parameter key {key!r}", line=line_no)
         if key in raw_params:
             raise ScenarioError(f"duplicate parameter key {key!r}", line=line_no)
-        raw_params[key] = parse_param(key, raw, line_no)
-        n += 1
+        raw_params[key] = parse_param(key, raw.strip(), line_no)
     missing = [k for k in PARAMS if k not in raw_params]
     if missing:
         raise ScenarioError(f"missing parameter keys: {', '.join(missing)}")
 
-    # skip the single blank separator, then collect map rows; trailing blank
-    # lines are tolerated, interior ones are not
-    n += 1
-    rows: list[str] = []
-    blank_since = None
-    for k in range(n, len(lines)):
-        line = lines[k]
-        if line.strip() == "":
-            if blank_since is None:
-                blank_since = k + 1
-            continue
-        if blank_since is not None and rows:
-            raise ScenarioError("blank line inside map", line=blank_since)
-        blank_since = None
-        rows.append(line)
-        width = len(rows[0])
+    filled = [n for n in range(sep + 1, len(lines)) if lines[n].strip()]
+    if not filled:
+        raise ScenarioError("missing map section")
+    rows = lines[filled[0]:filled[-1] + 1]
+    width = len(rows[0])
+    for line_no, line in enumerate(rows, filled[0] + 1):
+        if not line.strip():
+            raise ScenarioError("blank line inside map", line=line_no)
         if len(line) != width:
             raise ScenarioError(
-                f"ragged map row: {len(line)} glyphs, expected {width}", line=k + 1
+                f"ragged map row: {len(line)} glyphs, expected {width}", line=line_no
             )
         if not _GLYPHS.issuperset(line):
             col = next(c for c, ch in enumerate(line) if ch not in _GLYPHS)
             raise ScenarioError(
-                f"invalid map character {line[col]!r}", line=k + 1, column=col + 1
+                f"invalid map character {line[col]!r}", line=line_no, column=col + 1
             )
-    if not rows:
-        raise ScenarioError("missing map section")
 
     glyphs = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8).reshape(len(rows), -1)
     walls = glyphs == ord(WALL_GLYPH)

@@ -471,6 +471,17 @@ def test_console_script_help():
     assert "run" in proc.stdout and "sweep" in proc.stdout
 
 
+def test_importing_the_cli_loads_numpy_random():
+    # numpy 2 imports numpy.random lazily; loaded with the package, it is
+    # already there in each worker a sweep forks, not imported by each one
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, evacsim.cli; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, env=src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
+
+
 def test_module_entry_smoke(room_file, tmp_path):
     out = tmp_path / "out"
     proc = subprocess.run(

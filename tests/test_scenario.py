@@ -150,6 +150,60 @@ def test_parse_missing_map():
         parse_scenario(scenario_text(ROOM).split("\n\n")[0] + "\n")
 
 
+# the plain scenario text of ROOM: parameters on lines 1-7, the separator
+# on line 8, the map on lines 9-12
+PLAIN = scenario_text(ROOM)
+HEAD, MAP = PLAIN.split("\n\n")
+
+
+def with_line(line_no, new, text=PLAIN):
+    lines = text.split("\n")
+    lines[line_no - 1] = new
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("gap", ["\n", "\n\n\n", " \n", "\n  \n\t\n"])
+@pytest.mark.parametrize("tail", ["", "\n\n", "   \n", "\t\n \n\n"])
+def test_parse_accepts_blank_lines_around_map(gap, tail):
+    # gap is the separator and any blank or whitespace-only lines after it
+    assert parse_scenario(HEAD + "\n" + gap + MAP + tail) == parse_scenario(PLAIN)
+
+
+@pytest.mark.parametrize("lead", ["", "\n \n"])
+@pytest.mark.parametrize("run", ["\n", "\n\n", "   \n", " \n\t\n\n"])
+def test_parse_blank_run_inside_map_reports_its_first_line(lead, run):
+    text = PLAIN.replace("\n\n", "\n\n" + lead).replace("#P..E#\n", "#P..E#\n" + run)
+    line = 11 + lead.count("\n")
+    with pytest.raises(ScenarioError, match=f"^blank line inside map \\(line {line}\\)$") as e:
+        parse_scenario(text)
+    assert e.value.line == line and e.value.column is None
+
+
+@pytest.mark.parametrize(
+    "line_no,row,want",
+    [
+        (10, "#P..E", (10, "5 glyphs, expected 6")),
+        (10, "#P..E# ", (10, "7 glyphs, expected 6")),
+        (11, "#.P..##", (11, "7 glyphs, expected 6")),
+        (12, "#####", (12, "5 glyphs, expected 6")),
+        # the first row sets the width
+        (9, "#######", (10, "6 glyphs, expected 7")),
+    ],
+)
+def test_parse_ragged_row_has_line(line_no, row, want):
+    line, words = want
+    with pytest.raises(ScenarioError, match=f"^ragged map row: {words} \\(line {line}\\)$") as e:
+        parse_scenario(with_line(line_no, row))
+    assert e.value.line == line and e.value.column is None
+
+
+@pytest.mark.parametrize("tail", ["", "\n", "\n\n", "\n  \n\t\n"])
+def test_parse_parameters_then_only_blank_lines_is_missing_map(tail):
+    with pytest.raises(ScenarioError, match="^missing map section$") as e:
+        parse_scenario(HEAD + tail)
+    assert e.value.line is None
+
+
 def test_round_trip_identity():
     sc = make_scenario(ROOM, k_S="0.1", mu="0.25", seed=987654321)
     again = parse_scenario(serialize_scenario(sc))
