@@ -198,7 +198,10 @@ def step(state: SimulationState, grid: Grid, tables: TransitionTables) -> Simula
     split = drawing.size >= need
     if split:
         rows_p, rows_free = p[drawing], free[drawing]
-        risky = np.flatnonzero(((rows_free < 0) & (rows_p > 0.0)).any(axis=1))
+        hit = (rows_free[:, 0] < 0) & (rows_p[:, 0] > 0.0)
+        for c in range(1, 4):
+            hit |= (rows_free[:, c] < 0) & (rows_p[:, c] > 0.0)
+        risky = np.flatnonzero(hit)
         split = drawing.size - risky.size >= need
     movers, targets = (_split_draws(state, rows_p, rows_free, drawing, risky, starts, size)
                        if split else _scan_draws(state, p, free, drawing, starts, size))
@@ -213,9 +216,9 @@ def step(state: SimulationState, grid: Grid, tables: TransitionTables) -> Simula
     flat[new_cells] = 1
     # two winners on one cell cannot happen; a desync here means the
     # conflict grouping or the parallel move application is broken
-    if int(flat.sum()) != new_cells.size:
+    if np.count_nonzero(flat) != new_cells.size:
         raise RuntimeError(
-            f"step {state.step}: occupancy holds {int(flat.sum())} people, "
+            f"step {state.step}: occupancy holds {np.count_nonzero(flat)} people, "
             f"agent list {new_cells.size}"
         )
     return SimulationState(occupancy=new_occ, ids=state.ids[keep], cells=new_cells,
@@ -327,33 +330,43 @@ def _split_draws(state, p, free, drawing, risky, starts, size):
     """
     claims, u = _scan(state.rngs, p[risky].ravel().tolist(), free[risky].ravel().tolist(),
                       risky.tolist(), range(risky.size), starts)
-    # every agent's first draw, in agent order; the cumulative sum adds each
-    # row left to right, exactly as the scan's acc does
-    x = np.array(u)
+    # every agent's first draw, in agent order.  Four running column sums
+    # add each row left to right, exactly as the scan's acc does, and d
+    # counts the sums at or below the draw
+    x = np.fromiter(u, dtype=np.float64, count=len(u))
     x = x[x < 1.0]
-    d = (np.cumsum(p, axis=1) <= x[:, None]).sum(axis=1)
+    acc = p[:, 0]
+    d = (acc <= x).astype(np.intp)
+    for c in range(1, 4):
+        acc = acc + p[:, c]
+        d += acc <= x
     past = np.flatnonzero(d == 4)  # past the rounded total, as in the scan
     if past.size:
         d[past] = 3 - (p[past, ::-1] > 0.0).argmax(axis=1)
-    cell = free[np.arange(d.size), d]
+    cell = free.take(np.arange(0, 4 * d.size, 4) + d)
     # the risky agents' cells are those the scan found
     cell[risky] = -1
     cell[risky[[k for group in claims.values() for k in group]]] = [
         t for t, group in claims.items() for _ in group]
 
-    # claims grouped by cell with agents ascending within a cell; only the
-    # contested cells draw, in raster order
+    # claims grouped by cell, agents ascending within a cell; head marks each
+    # group's first row and closes the last.  The winners are an index array:
+    # the uncontested claims, then the contested cells' drawn in raster order
     rows = np.flatnonzero(cell >= 0)
     order = cell[rows].argsort(kind="stable")
     rows, cell = rows[order], cell[rows[order]]
-    heads = np.flatnonzero(np.diff(cell, prepend=-1))
-    counts = np.diff(heads, append=cell.size)
+    head = np.ones(cell.size + 1, dtype=bool)
+    np.not_equal(cell[1:], cell[:-1], out=head[1:-1])
+    heads = np.flatnonzero(head)
+    counts = np.diff(heads)
+    heads = heads[:-1]
     one = counts == 1
-    won = heads[one].tolist()
     many = ~one
+    contested = []
     for h, n, t in zip(heads[many].tolist(), counts[many].tolist(), cell[heads[many]].tolist()):
         if (i := _friction(state, size, t, n)) is not None:
-            won.append(h + i)
+            contested.append(h + i)
+    won = np.concatenate((heads[one], np.array(contested, dtype=np.intp)))
     return drawing[rows[won]], cell[won]
 
 

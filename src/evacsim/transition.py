@@ -127,12 +127,14 @@ class TransitionTables:
         way).
 
         Returns (p, norm_zero): p is (n, 4) rows summing to 1 (all-zero where
-        norm_zero), norm_zero is (n,) bool.
+        norm_zero), the transpose of a contiguous (4, n) array; norm_zero is
+        (n,) bool.
 
         All four directions are gathered at once as (4, n, r) rays rebuilt
         from the row tables.  Each ray is summed over its own contiguous
-        length-r axis, and the weights are summed per row of a contiguous
-        (n, 4) array, so every float operation matches the per-direction
+        length-r axis, and the norm adds the four weights as
+        ((w0 + w1) + w2) + w3, the order of numpy's sum along a contiguous
+        4-entry row, so every float operation matches the per-direction
         evaluation bit for bit.
         """
         key = self.row_key.take(cells_flat, axis=1)
@@ -143,9 +145,8 @@ class TransitionTables:
         # [0, 1] only the upper bound can bind
         dens = np.minimum(crowd / self.div_rows.take(key), 1.0)
         weights = np.exp(self.static_expo.take(cells_flat, axis=1) - k_p * dens)
-        weights = np.ascontiguousarray(weights.T)
-        norm = weights.sum(axis=1)
+        norm = ((weights[0] + weights[1]) + weights[2]) + weights[3]
         norm_zero = norm == 0.0
         # an all-zero row divided by 1 stays all zero
-        p = weights / np.where(norm_zero, 1.0, norm)[:, None]
-        return p, norm_zero
+        p = weights / np.where(norm_zero, 1.0, norm)
+        return p.T, norm_zero
