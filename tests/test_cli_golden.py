@@ -4,7 +4,9 @@ tests/data/cli_golden_sha256.json holds the sha256 of every file each
 invocation below writes, keyed by its path in the output tree.  The other
 CLI tests compare two runs of the same code; this one pins the bytes
 themselves, so a refactor of the CLI or the engine that changes any output
-file, adds one or drops one shows up here.
+file, adds one or drops one shows up here.  The sweep's worker pool is
+also run in a fresh interpreter under each of the forkserver and spawn
+start methods the platform offers, and must write the same bytes.
 
 The distributions file of run_single prints p with repr, and p comes from
 np.exp, whose float64 bits depend on the SIMD routine numpy dispatches to:
@@ -21,13 +23,15 @@ records the file again.
 import hashlib
 import json
 import math
+import multiprocessing
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, src_env
 from evacsim.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden_sha256.json"
@@ -58,6 +62,40 @@ def test_cli_output_bytes_match_golden(name, tmp_path):
     assert main([argv[0], "--scenario", ROOM, "--out", str(out), *argv[1:]]) == 0
     want = json.loads(GOLDEN.read_text())[name]
     assert tree_sha256(out) == want
+
+
+# the sweep driven through cli.main in a fresh interpreter whose pool starts
+# its workers by the given method; the __main__ guard lets spawn and
+# forkserver workers import the script without running it
+START_METHOD_DRIVER = """\
+import multiprocessing
+import sys
+
+from evacsim.cli import main
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("method", [m for m in ("forkserver", "spawn")
+                                    if m in multiprocessing.get_all_start_methods()])
+def test_sweep_bytes_match_golden_under_each_start_method(method, tmp_path):
+    # the in-process test above runs the pool under this interpreter's
+    # default, fork on Linux before Python 3.14; forkserver is the default
+    # from 3.14 on Linux, and spawn on macOS
+    driver = tmp_path / "driver.py"
+    driver.write_text(START_METHOD_DRIVER)
+    argv = INVOCATIONS["sweep"]
+    out = tmp_path / "sweep"
+    proc = subprocess.run(
+        [sys.executable, str(driver), method, argv[0], "--scenario", ROOM, "--out", str(out),
+         *argv[1:]],
+        capture_output=True, text=True, env=src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert tree_sha256(out) == json.loads(GOLDEN.read_text())["sweep"]
 
 
 def capture_exp_arguments(out: Path) -> np.ndarray:

@@ -6,6 +6,7 @@ direct tests of the reference pieces (test_engine, criterion 6) to the
 engine.
 """
 
+import copy
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import DRAW_PATHS, make_scenario, random_grid
 from evacsim import engine
-from evacsim.engine import initial_state, step
+from evacsim.engine import SimulationState, initial_state, step
 from evacsim.floorfield import compute_sff
 from evacsim.scenario import Cell, ModelParams, Scenario, parse_scenario
 from evacsim.transition import TransitionTables
@@ -266,3 +267,99 @@ def test_draw_past_rounded_total_on_each_draw_path(monkeypatch, path, neighbour)
     monkeypatch.setattr(engine, "_SPLIT_DRAWS", DRAW_PATHS[path])
     cell, moved = rounded_total_moves(neighbour)
     assert (int(neighbour), (cell[0] + 1, cell[1])) in moved
+
+
+def first_step_rows(sc: Scenario):
+    """sc's state at step 0 with p, free and the drawing agents of its first
+    step, built as engine.step builds them for one room."""
+    tables = TransitionTables(compute_sff(sc.grid), sc.grid, sc.params)
+    state = initial_state(sc)
+    p, norm_zero = tables.distributions(state.occupancy, state.cells, sc.params.k_p)
+    nbr = tables.nbr.take(state.cells, axis=1)
+    free = np.where(state.occupancy.reshape(-1)[nbr] != 0, -1, nbr).T
+    drawing = np.flatnonzero(~(norm_zero | sc.grid.exit_mask.reshape(-1)[state.cells]))
+    return state, p, free, drawing
+
+
+def split_and_scan(state, p, free, drawing, size) -> list[tuple[int, int]]:
+    """One step's draws through _split_draws and through _scan_draws, each
+    with a copy of state's one generator.  Asserts that both make the same
+    moves and leave the generator in the same state, and returns the moves,
+    as sorted (agent, cell) pairs, and that state."""
+    rows_p, rows_free = p[drawing], free[drawing]
+    risky = np.flatnonzero(((rows_free < 0) & (rows_p > 0.0)).any(axis=1))
+    outcomes = []
+    for draws, tables in ((engine._split_draws, (rows_p, rows_free, drawing, risky)),
+                          (engine._scan_draws, (p, free, drawing))):
+        rng = copy.deepcopy(state.rngs[0])
+        movers, cells = draws(replace(state, rngs=[rng]), *tables, [0, drawing.size], size)
+        moves = sorted((int(a), int(t)) for a, t in zip(movers, cells))
+        outcomes.append((moves, rng.bit_generator.state))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_split_and_scan_agree_when_nobody_claims_a_cell(seed):
+    # a packed corridor behind an agent on the exit: each drawing agent
+    # draws an occupied neighbour, redraws over no free direction and stays
+    sc = make_scenario("########\n#E.....#\n########", seed=seed)
+    sc = Scenario(grid=sc.grid, initial_agents=tuple((1, j) for j in range(1, 7)),
+                  params=sc.params)
+    state, p, free, drawing = first_step_rows(sc)
+    assert drawing.tolist() == [1, 2, 3, 4, 5]
+    moves, end = split_and_scan(state, p, free, drawing, sc.grid.height * sc.grid.width)
+    assert moves == []
+    # two draws per drawing agent, nothing else
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rng.random(10)
+    assert end == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_split_and_scan_agree_when_every_claim_is_contested(seed, mu):
+    # two pairs of agents whose one open direction is the cell between them
+    sc = make_scenario(
+        """
+        ###########
+        #P.P###P.P#
+        ##.#####.##
+        ##E#####E##
+        ###########
+        """,
+        seed=seed, mu=mu,
+    )
+    state, p, free, drawing = first_step_rows(sc)
+    open_dirs = p[drawing] > 0.0
+    assert open_dirs.sum(axis=1).tolist() == [1, 1, 1, 1]
+    assert np.unique(free[drawing][open_dirs], return_counts=True)[1].tolist() == [2, 2]
+    moves, _ = split_and_scan(state, p, free, drawing, sc.grid.height * sc.grid.width)
+    assert len({t for _, t in moves}) == len(moves) <= 2
+    if mu == 1.0:
+        assert moves == []
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_split_and_scan_agree_on_draws_past_the_rounded_total(seed):
+    # rows adding up to 0.4-0.5, so that most first draws land past the
+    # total and take the last positive direction, which varies by row; both
+    # paths follow one rule for any rows.  Rows 1 and 4 of each six are
+    # risky: a positive direction is occupied (-1), so their draws past the
+    # total redraw.  Cells repeat across agents, so some are contested.
+    p = np.array([[0.1, 0.1, 0.1, 0.1], [0.2, 0.2, 0.1, 0.0], [0.0, 0.4, 0.0, 0.0],
+                  [0.3, 0.0, 0.2, 0.0], [0.1, 0.2, 0.1, 0.0], [0.0, 0.0, 0.0, 0.5]] * 4)
+    m = len(p)
+    free = (7 * np.arange(m)[:, None] + 3 * np.arange(4)) % 40
+    free[p == 0.0] = -1
+    free[1::6, 1] = free[4::6, 2] = -1
+    state = SimulationState(occupancy=np.zeros((1, 50), dtype=np.uint8),
+                            ids=np.arange(m), cells=np.arange(m) + 40, step=0,
+                            rngs=[np.random.Generator(np.random.PCG64(seed))],
+                            k_p=np.array([6.0]), mu=[0.3])
+    # the seeds do not dodge the branch: many of the stream's first m
+    # uniforms lie past the total of the row with their index
+    first = copy.deepcopy(state.rngs[0]).random(m)
+    assert (first >= p.sum(axis=1)).sum() >= m // 3
+    moves, _ = split_and_scan(state, p, free, np.arange(m), 50)
+    assert moves

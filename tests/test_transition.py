@@ -201,3 +201,38 @@ def test_distribution_zeros_iff_wall():
                 ni, nj = i + di, j + dj
                 blocked = not in_bounds(grid, (ni, nj)) or grid.walls[ni, nj]
                 assert (dist.p[d] == 0.0) == blocked
+
+
+def test_norm_and_running_sums_follow_numpys_sum_order():
+    # distributions adds the four weights as ((w0 + w1) + w2) + w3, which
+    # must be the order of numpy's sum along a contiguous 4-entry row, and
+    # the split draw path's running column sums must be np.cumsum's.
+    # Exponents spread over +-40 make the order of the additions show in
+    # the bits of most rows; a few -inf give all-zero rows
+    rng = np.random.default_rng(28)
+    grid = random_grid(rng, 40, 50, 0.0, 1)
+    params = ModelParams(k_s=4.0, k_p=6.0, k_w=4.0, r=1, mu=0.0, seed=1, max_steps=10)
+    tables = TransitionTables(compute_sff(grid), grid, params)
+    n = grid.height * grid.width
+    expo = rng.uniform(-40.0, 40.0, (4, n))
+    expo[:, :5] = -np.inf
+    expo[rng.random((4, n)) < 0.05] = -np.inf
+    tables.static_expo = expo
+    # k_P = 0 leaves the exponents as they are, so the weights are np.exp's
+    p, norm_zero = tables.distributions(empty_occ(grid), np.arange(n), 0.0)
+    w = np.exp(expo)
+    norm = np.ascontiguousarray(w.T).sum(axis=1)
+    versions = f"numpy {np.__version__}"
+    assert (((w[0] + w[1]) + w[2]) + w[3]).tobytes() == norm.tobytes(), (
+        f"{versions}: sum along a 4-entry row is not ((w0 + w1) + w2) + w3")
+    assert np.array_equal(norm_zero, norm == 0.0) and norm_zero[:5].all()
+    want = (w / np.where(norm_zero, 1.0, norm)).T
+    assert p.tobytes() == want.tobytes(), f"{versions}: p is not the weights over numpy's row sum"
+
+    acc = p[:, 0]
+    running = [acc]
+    for c in range(1, 4):
+        acc = acc + p[:, c]
+        running.append(acc)
+    assert np.stack(running, axis=1).tobytes() == np.cumsum(p, axis=1).tobytes(), (
+        f"{versions}: np.cumsum along a row is not the running sum of its entries")
