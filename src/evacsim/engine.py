@@ -351,7 +351,7 @@ def _split_draws(state, p, free, drawing, risky, starts, size):
 
     # claims grouped by cell, agents ascending within a cell; head marks each
     # group's first row and closes the last.  The winners are an index array:
-    # the uncontested claims, then the contested cells' drawn in raster order
+    # the uncontested claims, then the contested cells' winners, raster order
     rows = np.flatnonzero(cell >= 0)
     order = cell[rows].argsort(kind="stable")
     rows, cell = rows[order], cell[rows[order]]

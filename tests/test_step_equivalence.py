@@ -281,7 +281,7 @@ def first_step_rows(sc: Scenario):
     return state, p, free, drawing
 
 
-def split_and_scan(state, p, free, drawing, size) -> list[tuple[int, int]]:
+def split_and_scan(state, p, free, drawing, size) -> tuple[list[tuple[int, int]], dict]:
     """One step's draws through _split_draws and through _scan_draws, each
     with a copy of state's one generator.  Asserts that both make the same
     moves and leave the generator in the same state, and returns the moves,
@@ -289,10 +289,10 @@ def split_and_scan(state, p, free, drawing, size) -> list[tuple[int, int]]:
     rows_p, rows_free = p[drawing], free[drawing]
     risky = np.flatnonzero(((rows_free < 0) & (rows_p > 0.0)).any(axis=1))
     outcomes = []
-    for draws, tables in ((engine._split_draws, (rows_p, rows_free, drawing, risky)),
-                          (engine._scan_draws, (p, free, drawing))):
+    for draws, args in ((engine._split_draws, (rows_p, rows_free, drawing, risky)),
+                        (engine._scan_draws, (p, free, drawing))):
         rng = copy.deepcopy(state.rngs[0])
-        movers, cells = draws(replace(state, rngs=[rng]), *tables, [0, drawing.size], size)
+        movers, cells = draws(replace(state, rngs=[rng]), *args, [0, drawing.size], size)
         moves = sorted((int(a), int(t)) for a, t in zip(movers, cells))
         outcomes.append((moves, rng.bit_generator.state))
     assert outcomes[0] == outcomes[1]
@@ -353,13 +353,15 @@ def test_split_and_scan_agree_on_draws_past_the_rounded_total(seed):
     free = (7 * np.arange(m)[:, None] + 3 * np.arange(4)) % 40
     free[p == 0.0] = -1
     free[1::6, 1] = free[4::6, 2] = -1
-    state = SimulationState(occupancy=np.zeros((1, 50), dtype=np.uint8),
-                            ids=np.arange(m), cells=np.arange(m) + 40, step=0,
+    # the agents stand on cells 40 to 63, past every target cell
+    occupancy = np.zeros((1, 64), dtype=np.uint8)
+    occupancy[0, 40:] = 1
+    state = SimulationState(occupancy=occupancy, ids=np.arange(m), cells=np.arange(m) + 40, step=0,
                             rngs=[np.random.Generator(np.random.PCG64(seed))],
                             k_p=np.array([6.0]), mu=[0.3])
     # the seeds do not dodge the branch: many of the stream's first m
     # uniforms lie past the total of the row with their index
     first = copy.deepcopy(state.rngs[0]).random(m)
     assert (first >= p.sum(axis=1)).sum() >= m // 3
-    moves, _ = split_and_scan(state, p, free, np.arange(m), 50)
+    moves, _ = split_and_scan(state, p, free, np.arange(m), 64)
     assert moves

@@ -208,7 +208,8 @@ def test_norm_and_running_sums_follow_numpys_sum_order():
     # must be the order of numpy's sum along a contiguous 4-entry row, and
     # the split draw path's running column sums must be np.cumsum's.
     # Exponents spread over +-40 make the order of the additions show in
-    # the bits of most rows; a few -inf give all-zero rows
+    # the bits of many rows; some -inf give blocked directions and five
+    # all-zero rows
     rng = np.random.default_rng(28)
     grid = random_grid(rng, 40, 50, 0.0, 1)
     params = ModelParams(k_s=4.0, k_p=6.0, k_w=4.0, r=1, mu=0.0, seed=1, max_steps=10)
@@ -222,12 +223,12 @@ def test_norm_and_running_sums_follow_numpys_sum_order():
     p, norm_zero = tables.distributions(empty_occ(grid), np.arange(n), 0.0)
     w = np.exp(expo)
     norm = np.ascontiguousarray(w.T).sum(axis=1)
-    versions = f"numpy {np.__version__}"
+    version = f"numpy {np.__version__}"
     assert (((w[0] + w[1]) + w[2]) + w[3]).tobytes() == norm.tobytes(), (
-        f"{versions}: sum along a 4-entry row is not ((w0 + w1) + w2) + w3")
+        f"{version}: sum along a 4-entry row is not ((w0 + w1) + w2) + w3")
     assert np.array_equal(norm_zero, norm == 0.0) and norm_zero[:5].all()
     want = (w / np.where(norm_zero, 1.0, norm)).T
-    assert p.tobytes() == want.tobytes(), f"{versions}: p is not the weights over numpy's row sum"
+    assert p.tobytes() == want.tobytes(), f"{version}: p is not the weights over numpy's row sum"
 
     acc = p[:, 0]
     running = [acc]
@@ -235,4 +236,4 @@ def test_norm_and_running_sums_follow_numpys_sum_order():
         acc = acc + p[:, c]
         running.append(acc)
     assert np.stack(running, axis=1).tobytes() == np.cumsum(p, axis=1).tobytes(), (
-        f"{versions}: np.cumsum along a row is not the running sum of its entries")
+        f"{version}: np.cumsum along a row is not the running sum of its entries")
