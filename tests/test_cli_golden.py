@@ -67,7 +67,7 @@ def test_cli_output_bytes_match_golden(name, tmp_path):
 # the sweep driven through cli.main in a fresh interpreter whose pool starts
 # its workers by the given method; the __main__ guard lets spawn and
 # forkserver workers import the script without running it
-START_METHOD_DRIVER = """\
+START_METHOD_SCRIPT = """\
 import multiprocessing
 import sys
 
@@ -85,12 +85,12 @@ def test_sweep_bytes_match_golden_under_each_start_method(method, tmp_path):
     # the in-process test above runs the pool under this interpreter's
     # default, fork on Linux before Python 3.14; forkserver is the default
     # from 3.14 on Linux, and spawn on macOS
-    driver = tmp_path / "driver.py"
-    driver.write_text(START_METHOD_DRIVER)
+    script = tmp_path / "sweep_with_start_method.py"
+    script.write_text(START_METHOD_SCRIPT)
     argv = INVOCATIONS["sweep"]
     out = tmp_path / "sweep"
     proc = subprocess.run(
-        [sys.executable, str(driver), method, argv[0], "--scenario", ROOM, "--out", str(out),
+        [sys.executable, str(script), method, argv[0], "--scenario", ROOM, "--out", str(out),
          *argv[1:]],
         capture_output=True, text=True, env=src_env(),
     )
