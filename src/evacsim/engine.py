@@ -46,9 +46,9 @@ cells free in the snapshot so that they make exactly one draw, splits
 them from the risky ones: the same scan walks the risky agents only, by
 the same position and block rules, and marks each second draw in the
 list of draws.  The unmarked entries are every agent's first draw, in
-agent order, and numpy turns the safe agents' into targets.  A stable
-argsort groups the claims by cell, agents ascending within a cell, and
-only contested cells go through Python.
+agent order, and numpy turns the safe agents' into targets.  One sort of
+the unique keys cell * agents + row groups the claims by cell, agents
+ascending within a cell, and only contested cells go through Python.
 
 The run state says where each agent stands in one form only: ids and, at
 the same positions, flat cells into the runs' occupancies stacked on the
@@ -77,18 +77,17 @@ _BATCH_CELLS = 1 << 20
 
 # step() draws through _split_draws when its drawing agents hold at least
 # this many safe ones per room with drawing agents.  Both paths were timed
-# (median of 7 alternating rounds of 15 steps on a 2-core x86 host) on
-# single enclosed square rooms with a 4-cell exit, 86 to 5,774 agents.
-# The split cost 0.49-0.91x the scan from 173 safe agents up in sparse
-# rooms (1-6 % taken), 0.76-0.98x with 196-1,367 safe in rooms a quarter
-# full, 0.97-1.01x in rooms 60 % full (83-254 safe), and 1.01-1.21x with
-# 25-121 safe.  In run_batch stacks of 10 and 20 paper rooms (8-22 % of
-# the drawing agents safe) the split on every step cost 0.93-1.21x the
-# scan, and 0.59-0.72x in stacks of 1, 2 and 4 big_room-sized rooms
-# (process time, median of 7 rounds), so the count is per room: the paper
-# room's 300 agents stay below it without counting, for any number of
-# seeds, and big_room's 1,080 are above it.
-_SPLIT_DRAWS = 384
+# (median of 7 alternating rounds of 15 steps, process time, on a 2-core
+# x86 host) on single enclosed square rooms with a 4-cell exit, 80 to 819
+# agents: with 43-162 safe agents at step 0 the split cost 0.97-1.13x the
+# scan, with 182-440 safe 0.53-0.82x.  The crossover, near 170 safe
+# agents, lies below the paper room's 300 agents; the constant stays just
+# above them, so that no step of a paper room, or of a stack of them,
+# counts its safe agents.  The count is per room: in run_batch stacks of
+# 10 and 20 paper rooms (8-22 % of the drawing agents safe) the split on
+# every step cost 0.93-1.21x the scan (timed before the split's column
+# sums and index-array winners).
+_SPLIT_DRAWS = 301
 
 
 @dataclass
@@ -196,14 +195,15 @@ def step(state: SimulationState, grid: Grid, tables: TransitionTables) -> Simula
     if rooms > 1 and drawing.size >= need:
         need *= sum(hi > lo for lo, hi in zip(starts, starts[1:]))
     split = drawing.size >= need
+    all_draw = drawing.size == cells.size
     if split:
-        rows_p, rows_free = p[drawing], free[drawing]
-        hit = (rows_free[:, 0] < 0) & (rows_p[:, 0] > 0.0)
-        for c in range(1, 4):
-            hit |= (rows_free[:, c] < 0) & (rows_p[:, c] > 0.0)
-        risky = np.flatnonzero(hit)
+        # p and free are the transposes of contiguous (4, agents) arrays
+        hit = ((free.T < 0) & (p.T > 0.0)).any(axis=0)
+        risky = np.flatnonzero(hit if all_draw else hit[drawing])
         split = drawing.size - risky.size >= need
-    movers, targets = (_split_draws(state, rows_p, rows_free, drawing, risky, starts, size)
+    if split and not all_draw:
+        p, free = p.T.take(drawing, axis=1).T, free.T.take(drawing, axis=1).T
+    movers, targets = (_split_draws(state, p, free, drawing, risky, starts, size)
                        if split else _scan_draws(state, p, free, drawing, starts, size))
 
     new_cells = cells.copy()
@@ -325,8 +325,9 @@ def _split_draws(state, p, free, drawing, risky, starts, size):
     """_scan_draws for a step with many safe agents: the same moves and
     generator states, with the scan over the risky agents only.
 
-    p and free hold the drawing agents' rows, in agent order, and risky
-    the risky agents' rows, ascending.
+    p and free hold the drawing agents' rows, in agent order (step()
+    passes the transposes of contiguous (4, m) arrays), and risky the
+    risky agents' rows, ascending.
     """
     claims, u = _scan(state.rngs, p[risky].ravel().tolist(), free[risky].ravel().tolist(),
                       risky.tolist(), range(risky.size), starts)
@@ -343,18 +344,22 @@ def _split_draws(state, p, free, drawing, risky, starts, size):
     past = np.flatnonzero(d == 4)  # past the rounded total, as in the scan
     if past.size:
         d[past] = 3 - (p[past, ::-1] > 0.0).argmax(axis=1)
-    cell = free.take(np.arange(0, 4 * d.size, 4) + d)
+    # one take from free's columns, which step() keeps contiguous
+    cell = free.T.reshape(-1).take(d * d.size + np.arange(d.size))
     # the risky agents' cells are those the scan found
     cell[risky] = -1
     cell[risky[[k for group in claims.values() for k in group]]] = [
         t for t, group in claims.items() for _ in group]
 
-    # claims grouped by cell, agents ascending within a cell; head marks each
-    # group's first row and closes the last.  The winners are an index array:
-    # the uncontested claims, then the contested cells' winners, raster order
+    # claims grouped by cell, agents ascending within a cell: the key
+    # cell * m + row is unique, so one plain sort gives that order.  head
+    # marks each group's first row and closes the last.  The winners are an
+    # index array: the uncontested claims, then the contested cells'
+    # winners, raster order
     rows = np.flatnonzero(cell >= 0)
-    order = cell[rows].argsort(kind="stable")
-    rows, cell = rows[order], cell[rows[order]]
+    key = np.sort(cell[rows] * d.size + rows)
+    cell = key // d.size
+    rows = key - cell * d.size
     head = np.ones(cell.size + 1, dtype=bool)
     np.not_equal(cell[1:], cell[:-1], out=head[1:-1])
     heads = np.flatnonzero(head)

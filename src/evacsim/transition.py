@@ -23,7 +23,10 @@ included, at most n = min(r, max(h, w)) (people do not block sight), and
 
     D_d = min(1, (1/r*) * sum_{m=1..r*} phi(m / C) * occupancy[cell + m*d]),  C = (r* + 1) / sqrt(5)
 
-so nearer people weigh more than distant ones.
+so nearer people weigh more than distant ones.  The sum over m is
+numpy's sum along a row of r entries, in its order: distributions follows
+that order both when it sums rows of products and when, in calls with many
+agents and short rays, it adds the products column by column.
 """
 
 from __future__ import annotations
@@ -42,6 +45,20 @@ _KERNEL_A = 0.335
 _KERNEL_B = 0.067
 _KERNEL_SCALE = 4.4742
 
+# distributions adds the rays column by column (_crowd) in calls of at
+# least _COLUMN_SUM_AGENTS agents whose rays hold at most _COLUMN_SUM_RAY
+# cells.  Against .sum(axis=2) (_crowd on the first agents of big_room's
+# crowd, best of 3 x 5 alternating rounds, 2-core x86 host, numpy 2.4.6)
+# the column sums cost 1.05-2.07x at one agent (4-5 us) for r = 2-12,
+# 0.52-0.97x at 128 agents for r = 2-10 and 1.03x for r = 12 (0.95x at
+# 192), 0.34-0.78x at 1,080 agents for r = 2-12, and 0.86-0.90x at r = 1
+# for any count.  Longer rays gain little: from r = 16 they win only
+# above 256 agents and by at most 10 % (0.90-1.00x at 1,080 for r =
+# 16-32), and at r = 64 they cost 1.18-3.08x.
+_COLUMN_SUM_AGENTS = 128
+# at most 128, the longest row numpy adds without splitting it in halves
+_COLUMN_SUM_RAY = 12
+
 
 class TransitionTables:
     """Static factors per grid and (k_S, k_W, r), flattened row-major.
@@ -57,7 +74,9 @@ class TransitionTables:
     off_rows (m * offset[d] up to r*, 0 past it, so every index is in the
     grid), w_rows (weights, 0.0 past r*) and div_rows (max(r*, 1)); 96 B per
     cell.  The rows keep r columns: the ray length sets numpy's summation
-    order, so p's bits depend on it.  Past r* a ray stays on its own
+    order (pairwise, with eight accumulators from 8 entries on), so p's
+    bits depend on it.  distributions reads the rows as they are in small
+    calls and through their transposes, column by column, in large ones.  Past r* a ray stays on its own
     occupied cell, where weight 0.0 gives a +0.0 product just as per-cell
     (size, r) rays do, so p has their bits.
 
@@ -130,17 +149,18 @@ class TransitionTables:
         norm_zero), the transpose of a contiguous (4, n) array; norm_zero is
         (n,) bool.
 
-        All four directions are gathered at once as (4, n, r) rays rebuilt
-        from the row tables.  Each ray is summed over its own contiguous
-        length-r axis, and the norm adds the four weights as
-        ((w0 + w1) + w2) + w3, the order of numpy's sum along a contiguous
-        4-entry row, so every float operation matches the per-direction
-        evaluation bit for bit.
+        All four directions are gathered at once as rays rebuilt from the
+        row tables.  Each ray is added in the order of numpy's sum along
+        its contiguous length-r row: calls of at least _COLUMN_SUM_AGENTS
+        agents with rays of at most _COLUMN_SUM_RAY cells add r columns of
+        rays in numpy's pairwise order, any other call sums (4, n, r) rows
+        (_crowd).  The norm adds the four weights as ((w0 + w1) + w2) + w3,
+        the order of numpy's sum along a contiguous 4-entry row, so every
+        float operation matches the per-direction evaluation bit for bit.
         """
         key = self.row_key.take(cells_flat, axis=1)
-        ray = self.off_rows.take(key, axis=0)
-        ray += (cells_flat if slots is None else slots)[:, None]
-        crowd = (occupancy.reshape(-1).take(ray) * self.w_rows.take(key, axis=0)).sum(axis=2)
+        crowd = _crowd(occupancy.reshape(-1), self.off_rows, self.w_rows, key,
+                       cells_flat if slots is None else slots)
         # crowd >= 0 (occupancy and kernel weights are), so of the clamp to
         # [0, 1] only the upper bound can bind
         dens = np.minimum(crowd / self.div_rows.take(key), 1.0)
@@ -150,3 +170,40 @@ class TransitionTables:
         # an all-zero row divided by 1 stays all zero
         p = weights / np.where(norm_zero, 1.0, norm)
         return p.T, norm_zero
+
+
+def _crowd(occupancy, off_rows, w_rows, key, slots):
+    """The (4, n) ray sums of distributions: sum_m w_m * occupancy[slot + off_m].
+
+    occupancy is flat, key holds the (4, n) rows of off_rows and w_rows and
+    slots the (n,) cells the rays start from.  Every ray is added in the
+    order of numpy's sum along a contiguous row.  Calls of fewer than
+    _COLUMN_SUM_AGENTS agents, or with rays longer than _COLUMN_SUM_RAY,
+    make that sum: (4, n, r) products and .sum(axis=2).  The others gather
+    the products as r columns of 4n rays and add the columns in numpy's
+    pairwise order for a row of r <= 128 entries: below 8 in sequence, from
+    8 on into eight accumulators, then ((a0 + a1) + (a2 + a3)) + ((a4 + a5)
+    + (a6 + a7)), then the remaining columns in sequence.  numpy starts its
+    sum from +0.0, which changes no bit here: the products are never -0.0.
+    """
+    r = off_rows.shape[1]
+    if slots.size < _COLUMN_SUM_AGENTS or r > _COLUMN_SUM_RAY:
+        ray = off_rows.take(key, axis=0)
+        ray += slots[:, None]
+        return (occupancy.take(ray) * w_rows.take(key, axis=0)).sum(axis=2)
+    ray = off_rows.T.take(key, axis=1)
+    ray += slots
+    cols = w_rows.T.take(key, axis=1)
+    cols *= occupancy.take(ray)
+    if r < 8:
+        total, rest = cols[0], range(1, r)
+    else:
+        acc = cols[:8] if r < 16 else cols[:8] + cols[8:16]
+        for c in range(16, r - 7, 8):
+            acc += cols[c:c + 8]
+        acc = acc[0::2] + acc[1::2]
+        acc = acc[0::2] + acc[1::2]
+        total, rest = acc[0] + acc[1], range(r - r % 8, r)
+    for c in rest:
+        total += cols[c]
+    return total

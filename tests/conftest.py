@@ -6,7 +6,7 @@ from textwrap import dedent
 import numpy as np
 import pytest
 
-from evacsim import engine
+from evacsim import engine, transition
 from evacsim.scenario import Grid, parse_scenario
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -87,4 +87,19 @@ def draw_path(request, monkeypatch):
     """Puts every engine.step of the test on one draw path: _split_draws
     ("always") or _scan_draws ("never")."""
     monkeypatch.setattr(engine, "_SPLIT_DRAWS", DRAW_PATHS[request.param])
+    return request.param
+
+
+# transition._COLUMN_SUM_AGENTS values that put every distributions call
+# on one crowd sum
+CROWD_SUMS = {"columns": 0, "rows": sys.maxsize}
+
+
+@pytest.fixture(params=sorted(CROWD_SUMS))
+def crowd_sum(request, monkeypatch):
+    """Puts every distributions call of the test on one crowd sum: the
+    column sums ("columns", for rays of up to 128 cells, the longest they
+    follow numpy's order for) or .sum(axis=2) ("rows")."""
+    monkeypatch.setattr(transition, "_COLUMN_SUM_AGENTS", CROWD_SUMS[request.param])
+    monkeypatch.setattr(transition, "_COLUMN_SUM_RAY", 128)
     return request.param

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import DRAW_PATHS, SCENARIO_DIR, make_scenario, random_grid
@@ -146,13 +146,14 @@ def test_groups_of_a_large_batch_match_oracle(monkeypatch):
 
 
 @st.composite
-def random_batches(draw):
+def random_batches(draw, rs=st.integers(1, 10)):
     """One to four runs of a random enclosed room of up to 10 x 10 cells,
-    each with its own crowd, seed, k_P, mu and max_steps."""
+    each with its own crowd, seed, k_P, mu and max_steps, and one r drawn
+    from rs."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = draw(st.tuples(st.integers(4, 10), st.integers(4, 10)))
     density = draw(st.floats(0.05, 0.9))
-    r = draw(st.integers(1, 10))
+    r = draw(rs)
     runs = draw(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.floats(0.0, 20.0),
                                    st.sampled_from([0.0, 0.3, 1.0]), st.integers(1, 30)),
                          min_size=1, max_size=4))
@@ -194,12 +195,37 @@ def test_mixed_batches_on_the_split_path(monkeypatch, name):
     # the mixed batches above, which the default constant keeps on the
     # scan, with every step split
     monkeypatch.setattr(engine, "_SPLIT_DRAWS", DRAW_PATHS["always"])
+    mixed_batch(monkeypatch, name)
+
+
+def mixed_batch(monkeypatch, name):
+    """The mixed batch test above that name picks."""
     if name == "paper":
         test_paper_room_mixed_batch(monkeypatch)
     elif name == "bottleneck":
         test_bottleneck_runs_end_at_different_steps(monkeypatch)
     else:
         test_corpus_room_mixed_batch(monkeypatch, name)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scenarios=random_batches(st.sampled_from([7, 8, 9, 15, 16, 17])))
+def test_random_room_batches_match_oracle_under_each_crowd_sum(crowd_sum, scenarios):
+    # the fixture's setting holds for every example; r on both sides of the
+    # column sums' steps at 8 and 16 cells
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_batch_matches_oracle(monkeypatch, scenarios, snapshot_steps=(2, 40),
+                                    capture_step=1)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", ["paper", "bottleneck"] + sorted(p.stem for p in CORPUS.glob("*.txt"))
+                         + ["corridor30"])
+def test_mixed_batches_under_each_crowd_sum(crowd_sum, monkeypatch, name):
+    # the mixed batches above with every distributions call on one crowd sum
+    mixed_batch(monkeypatch, name)
 
 
 def test_batch_step_with_no_drawing_agent(draw_path, monkeypatch):

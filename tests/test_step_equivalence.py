@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import DRAW_PATHS, make_scenario, random_grid
@@ -156,9 +156,9 @@ def test_pending_32bit_draw_survives_the_step():
 
 
 @st.composite
-def random_rooms(draw):
+def random_rooms(draw, rs=st.integers(1, 10)):
     """A random enclosed room of up to 14 x 14 cells with a random crowd
-    and random parameters, run for up to 40 steps."""
+    and random parameters (r drawn from rs), run for up to 40 steps."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     h, w = draw(st.integers(4, 14)), draw(st.integers(4, 14))
     grid = random_grid(rng, h, w, draw(st.floats(0.0, 0.3)), int(rng.integers(1, 4)),
@@ -168,7 +168,7 @@ def random_rooms(draw):
     free = [(i, j) for i in range(h) for j in range(w) if not grid.walls[i, j]]
     agents = tuple(cell for cell in free if rng.random() < density)
     params = ModelParams(k_s=draw(st.floats(0.0, 8.0)), k_p=draw(st.floats(0.0, 20.0)),
-                         k_w=draw(st.floats(0.0, 8.0)), r=draw(st.integers(1, 10)),
+                         k_w=draw(st.floats(0.0, 8.0)), r=draw(rs),
                          mu=draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
                          seed=draw(st.integers(0, 2**32 - 1)), max_steps=40)
     return Scenario(grid=grid, initial_agents=agents, params=params)
@@ -189,6 +189,20 @@ def test_random_rooms_match_oracle_on_the_split_path(scenario):
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(engine, "_SPLIT_DRAWS", DRAW_PATHS["always"])
         lockstep(scenario)
+
+
+# ray lengths on both sides of the column sums' steps: 8 accumulators
+# from 8 cells on, a second block of them from 16
+CROWD_RAYS = st.sampled_from([7, 8, 9, 15, 16, 17])
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scenario=random_rooms(CROWD_RAYS))
+def test_random_rooms_match_oracle_under_each_crowd_sum(crowd_sum, scenario):
+    # the fixture's setting holds for every example
+    lockstep(scenario)
 
 
 def test_step_with_no_drawing_agent(draw_path):
@@ -365,3 +379,31 @@ def test_split_and_scan_agree_on_draws_past_the_rounded_total(seed):
     assert (first >= p.sum(axis=1)).sum() >= m // 3
     moves, _ = split_and_scan(state, p, free, np.arange(m), 64)
     assert moves
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+@pytest.mark.parametrize("claimants", [3, 4])
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_split_and_scan_agree_on_interleaved_contested_cells(seed, claimants, mu):
+    # claimants agents claim cell 10 and three claim cell 20, their ranks
+    # interleaved, so the split's one sort must keep each cell's claims in
+    # agent order for the friction draw to pick the scan's winner.  Every
+    # row is certain of its one open direction, except agent 1's: an
+    # occupied direction (-1) makes it risky, so its claim on 20, if any,
+    # comes from the scan
+    targets = [10, 20] * 3 + [10] * (claimants - 3)
+    m = len(targets)
+    p = np.zeros((m, 4))
+    free = np.full((m, 4), -1)
+    p[:, 0], free[:, 0] = 1.0, targets
+    p[1, :2] = 0.5
+    free[1] = [-1, 20, -1, -1]
+    occupancy = np.zeros((1, 64), dtype=np.uint8)
+    occupancy[0, 40:40 + m] = 1
+    state = SimulationState(occupancy=occupancy, ids=np.arange(m), cells=np.arange(m) + 40, step=0,
+                            rngs=[np.random.Generator(np.random.PCG64(seed))],
+                            k_p=np.array([6.0]), mu=[mu])
+    moves, _ = split_and_scan(state, p, free, np.arange(m), 64)
+    assert len(moves) <= 2 and len({t for _, t in moves}) == len(moves)
+    if mu == 0.0:
+        assert 10 in {t for _, t in moves}

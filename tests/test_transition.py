@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario, random_grid
+from evacsim import transition
 from evacsim.floorfield import compute_sff
 from evacsim.scenario import ModelParams
 from evacsim.transition import TransitionTables
@@ -237,3 +238,29 @@ def test_norm_and_running_sums_follow_numpys_sum_order():
         running.append(acc)
     assert np.stack(running, axis=1).tobytes() == np.cumsum(p, axis=1).tobytes(), (
         f"{version}: np.cumsum along a row is not the running sum of its entries")
+
+
+@pytest.mark.parametrize("r", [*range(1, 18), 63, 64, 127, 128])
+def test_column_sums_follow_numpys_sum_order(monkeypatch, r):
+    # distributions' crowd sums must have the bits of .sum(axis=2) over the
+    # (4, n, r) ray products, numpy's order along a contiguous row, for
+    # agent counts on both sides of the column sums' gate.  Weights spread
+    # over 2^-20 to 2^20 make the order of the additions show in the bits
+    # of many rays; a sparse occupancy and weight rows that are zero past a
+    # random length give runs of zero products
+    monkeypatch.setattr(transition, "_COLUMN_SUM_RAY", 128)
+    rng = np.random.default_rng(r)
+    size, rows = 5_000, 64
+    occupancy = (rng.random(size) < 0.6).astype(np.uint8)
+    w_rows = rng.uniform(0.0, 1.5, (rows, r)) * 2.0 ** rng.integers(-20, 21, (rows, r))
+    w_rows[np.arange(r) >= rng.integers(0, r + 1, rows)[:, None]] = 0.0
+    off_rows = rng.integers(0, size // 2, (rows, r))
+    gate = transition._COLUMN_SUM_AGENTS
+    for n in (1, gate - 1, gate, 3 * gate):
+        key = rng.integers(0, rows, (4, n))
+        slots = rng.integers(0, size // 2, n)
+        prod = occupancy.take(off_rows.take(key, axis=0) + slots[:, None]) * w_rows.take(key, axis=0)
+        crowd = transition._crowd(occupancy, off_rows, w_rows, key, slots)
+        assert crowd.shape == (4, n) and crowd.tobytes() == prod.sum(axis=2).tobytes(), (
+            f"numpy {np.__version__}: the crowd sums of {n} agents' {r}-cell rays "
+            f"are not .sum(axis=2)'s")
