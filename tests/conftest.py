@@ -91,8 +91,10 @@ def draw_path(request, monkeypatch):
 
 
 # transition._COLUMN_SUM_AGENTS values that put every distributions call
-# on one crowd sum
+# on one crowd sum, and ray lengths on both sides of the column sums'
+# steps: eight accumulators from 8 cells on, a second block of them from 16
 CROWD_SUMS = {"columns": 0, "rows": sys.maxsize}
+CROWD_RAYS = [7, 8, 9, 15, 16, 17]
 
 
 @pytest.fixture(params=sorted(CROWD_SUMS))

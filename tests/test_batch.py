@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import DRAW_PATHS, SCENARIO_DIR, make_scenario, random_grid
+from conftest import CROWD_RAYS, DRAW_PATHS, SCENARIO_DIR, make_scenario, random_grid
 from evacsim import engine
 from evacsim.engine import initial_state, run_batch
 from evacsim.floorfield import compute_sff
@@ -211,10 +211,9 @@ def mixed_batch(monkeypatch, name):
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(scenarios=random_batches(st.sampled_from([7, 8, 9, 15, 16, 17])))
+@given(scenarios=random_batches(st.sampled_from(CROWD_RAYS)))
 def test_random_room_batches_match_oracle_under_each_crowd_sum(crowd_sum, scenarios):
-    # the fixture's setting holds for every example; r on both sides of the
-    # column sums' steps at 8 and 16 cells
+    # the fixture's setting holds for every example
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_batch_matches_oracle(monkeypatch, scenarios, snapshot_steps=(2, 40),
                                     capture_step=1)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import DRAW_PATHS, make_scenario, random_grid
+from conftest import CROWD_RAYS, DRAW_PATHS, make_scenario, random_grid
 from evacsim import engine
 from evacsim.engine import SimulationState, initial_state, step
 from evacsim.floorfield import compute_sff
@@ -191,15 +191,10 @@ def test_random_rooms_match_oracle_on_the_split_path(scenario):
         lockstep(scenario)
 
 
-# ray lengths on both sides of the column sums' steps: 8 accumulators
-# from 8 cells on, a second block of them from 16
-CROWD_RAYS = st.sampled_from([7, 8, 9, 15, 16, 17])
-
-
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(scenario=random_rooms(CROWD_RAYS))
+@given(scenario=random_rooms(st.sampled_from(CROWD_RAYS)))
 def test_random_rooms_match_oracle_under_each_crowd_sum(crowd_sum, scenario):
     # the fixture's setting holds for every example
     lockstep(scenario)
