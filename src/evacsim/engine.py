@@ -77,16 +77,15 @@ _BATCH_CELLS = 1 << 20
 
 # step() draws through _split_draws when its drawing agents hold at least
 # this many safe ones per room with drawing agents.  Both paths were timed
-# (median of 7 alternating rounds of 15 steps, process time, on a 2-core
-# x86 host) on single enclosed square rooms with a 4-cell exit, 80 to 819
-# agents: with 43-162 safe agents at step 0 the split cost 0.97-1.13x the
-# scan, with 182-440 safe 0.53-0.82x.  The crossover, near 170 safe
-# agents, lies below the paper room's 300 agents; the constant stays just
-# above them, so that no step of a paper room, or of a stack of them,
-# counts its safe agents.  The count is per room: in run_batch stacks of
-# 10 and 20 paper rooms (8-22 % of the drawing agents safe) the split on
-# every step cost 0.93-1.21x the scan (timed before the split's column
-# sums and index-array winners).
+# (median of 7 alternating rounds, process time, on a 2-core x86 host).  On
+# single enclosed square rooms with a 4-cell exit, 80 to 819 agents and 15
+# steps, the split cost 1.01-1.08x the scan with 66-118 safe agents at step
+# 0 and 0.60-0.81x with 162-580 safe.  On every step of whole run_batch
+# runs of the paper room it cost 1.23x the scan for one room, 1.11x for a
+# stack of 2, 1.02x for 10 and 0.98x for 20.  So the constant stays just
+# above the paper room's 300 agents, although the crossover lies near 150
+# safe agents: no step of a paper room, or of a stack of them, counts its
+# safe agents.
 _SPLIT_DRAWS = 301
 
 
@@ -195,6 +194,8 @@ def step(state: SimulationState, grid: Grid, tables: TransitionTables) -> Simula
     if rooms > 1 and drawing.size >= need:
         need *= sum(hi > lo for lo, hi in zip(starts, starts[1:]))
     split = drawing.size >= need
+    # every agent draws on all 1,280 split steps of big_room's 32 seed
+    # classes; the split then skips two row copies (7 us at 1,080 agents)
     all_draw = drawing.size == cells.size
     if split:
         # p and free are the transposes of contiguous (4, agents) arrays

@@ -26,7 +26,7 @@ included, at most n = min(r, max(h, w)) (people do not block sight), and
 so nearer people weigh more than distant ones.  The sum over m is
 numpy's sum along a row of r entries, in its order: distributions follows
 that order both when it sums rows of products and when, in calls with many
-agents and short rays, it adds the products column by column.
+agents and rays of at most 15 cells, it adds the products column by column.
 """
 
 from __future__ import annotations
@@ -45,19 +45,13 @@ _KERNEL_A = 0.335
 _KERNEL_B = 0.067
 _KERNEL_SCALE = 4.4742
 
-# distributions adds the rays column by column (_crowd) in calls of at
-# least _COLUMN_SUM_AGENTS agents whose rays hold at most _COLUMN_SUM_RAY
-# cells.  Against .sum(axis=2) (_crowd on the first agents of big_room's
-# crowd, best of 3 x 5 alternating rounds, 2-core x86 host, numpy 2.4.6)
-# the column sums cost 1.05-2.07x at one agent (4-5 us) for r = 2-12,
-# 0.52-0.97x at 128 agents for r = 2-10 and 1.03x for r = 12 (0.95x at
-# 192), 0.34-0.78x at 1,080 agents for r = 2-12, and 0.86-0.90x at r = 1
-# for any count.  Longer rays gain little: from r = 16 they win only
-# above 256 agents and by at most 10 % (0.90-1.00x at 1,080 for r =
-# 16-32), and at r = 64 they cost 1.18-3.08x.
+# distributions adds rays of at most 15 cells column by column (_crowd) in
+# calls of at least this many agents.  Against .sum(axis=2) (_crowd on the
+# first agents of big_room's crowd, best of 3 x 5 alternating rounds, 2-core
+# x86 host, numpy 2.4.6) the column sums cost 1.9-2.6x at one agent for r =
+# 10-16, 1.02-1.24x at 64 agents, 0.92x at 128 agents for r = 10 (0.97-1.06x
+# for r = 12-15, 0.91-0.96x at 192), and 0.68-0.81x at 1,080 agents.
 _COLUMN_SUM_AGENTS = 128
-# at most 128, the longest row numpy adds without splitting it in halves
-_COLUMN_SUM_RAY = 12
 
 
 class TransitionTables:
@@ -152,8 +146,8 @@ class TransitionTables:
         All four directions are gathered at once as rays rebuilt from the
         row tables.  Each ray is added in the order of numpy's sum along
         its contiguous length-r row: calls of at least _COLUMN_SUM_AGENTS
-        agents with rays of at most _COLUMN_SUM_RAY cells add r columns of
-        rays in numpy's pairwise order, any other call sums (4, n, r) rows
+        agents with rays of at most 15 cells add r columns of rays in
+        numpy's pairwise order, any other call sums (4, n, r) rows
         (_crowd).  The norm adds the four weights as ((w0 + w1) + w2) + w3,
         the order of numpy's sum along a contiguous 4-entry row, so every
         float operation matches the per-direction evaluation bit for bit.
@@ -178,16 +172,18 @@ def _crowd(occupancy, off_rows, w_rows, key, slots):
     occupancy is flat, key holds the (4, n) rows of off_rows and w_rows and
     slots the (n,) cells the rays start from.  Every ray is added in the
     order of numpy's sum along a contiguous row.  Calls of fewer than
-    _COLUMN_SUM_AGENTS agents, or with rays longer than _COLUMN_SUM_RAY,
-    make that sum: (4, n, r) products and .sum(axis=2).  The others gather
-    the products as r columns of 4n rays and add the columns in numpy's
-    pairwise order for a row of r <= 128 entries: below 8 in sequence, from
-    8 on into eight accumulators, then ((a0 + a1) + (a2 + a3)) + ((a4 + a5)
-    + (a6 + a7)), then the remaining columns in sequence.  numpy starts its
-    sum from +0.0, which changes no bit here: the products are never -0.0.
+    _COLUMN_SUM_AGENTS agents, or with rays of 16 cells or more, make that
+    sum: (4, n, r) products and .sum(axis=2).  The others gather the
+    products as r columns of 4n rays and add the columns in numpy's order
+    for a row of r < 16 entries: below 8 in sequence, from 8 on the first
+    eight as ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)), then the
+    remaining columns in sequence.  (From 16 entries on numpy adds each
+    further eight columns into its eight accumulators first; from 129 on it
+    splits the row in halves.)  numpy starts its sum from +0.0, which
+    changes no bit here: the products are never -0.0.
     """
     r = off_rows.shape[1]
-    if slots.size < _COLUMN_SUM_AGENTS or r > _COLUMN_SUM_RAY:
+    if slots.size < _COLUMN_SUM_AGENTS or r >= 16:
         ray = off_rows.take(key, axis=0)
         ray += slots[:, None]
         return (occupancy.take(ray) * w_rows.take(key, axis=0)).sum(axis=2)
@@ -198,12 +194,9 @@ def _crowd(occupancy, off_rows, w_rows, key, slots):
     if r < 8:
         total, rest = cols[0], range(1, r)
     else:
-        acc = cols[:8] if r < 16 else cols[:8] + cols[8:16]
-        for c in range(16, r - 7, 8):
-            acc += cols[c:c + 8]
+        acc = cols[0:8:2] + cols[1:8:2]
         acc = acc[0::2] + acc[1::2]
-        acc = acc[0::2] + acc[1::2]
-        total, rest = acc[0] + acc[1], range(r - r % 8, r)
+        total, rest = acc[0] + acc[1], range(8, r)
     for c in rest:
         total += cols[c]
     return total

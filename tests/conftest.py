@@ -92,7 +92,7 @@ def draw_path(request, monkeypatch):
 
 # transition._COLUMN_SUM_AGENTS values that put every distributions call
 # on one crowd sum, and ray lengths on both sides of the column sums'
-# steps: eight accumulators from 8 cells on, a second block of them from 16
+# steps: a tree of eight columns from 8 cells on, .sum(axis=2) from 16
 CROWD_SUMS = {"columns": 0, "rows": sys.maxsize}
 CROWD_RAYS = [7, 8, 9, 15, 16, 17]
 
@@ -100,8 +100,7 @@ CROWD_RAYS = [7, 8, 9, 15, 16, 17]
 @pytest.fixture(params=sorted(CROWD_SUMS))
 def crowd_sum(request, monkeypatch):
     """Puts every distributions call of the test on one crowd sum: the
-    column sums ("columns", for rays of up to 128 cells, the longest they
-    follow numpy's order for) or .sum(axis=2) ("rows")."""
+    column sums ("columns", which leave rays of 16 cells or more to
+    .sum(axis=2)) or .sum(axis=2) ("rows")."""
     monkeypatch.setattr(transition, "_COLUMN_SUM_AGENTS", CROWD_SUMS[request.param])
-    monkeypatch.setattr(transition, "_COLUMN_SUM_RAY", 128)
     return request.param
