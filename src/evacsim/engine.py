@@ -191,20 +191,16 @@ def step(state: SimulationState, grid: Grid, tables: TransitionTables) -> Simula
     # safe agents per room with drawing agents, which are counted only
     # where the drawing agents could hold that many.
     need = _SPLIT_DRAWS
-    if rooms > 1 and drawing.size >= need:
+    if drawing.size >= need:
         need *= sum(hi > lo for lo, hi in zip(starts, starts[1:]))
     split = drawing.size >= need
-    # every agent draws on all 1,280 split steps of big_room's 32 seed
-    # classes; the split then skips two row copies (7 us at 1,080 agents)
-    all_draw = drawing.size == cells.size
     if split:
-        # p and free are the transposes of contiguous (4, agents) arrays
-        hit = ((free.T < 0) & (p.T > 0.0)).any(axis=0)
-        risky = np.flatnonzero(hit if all_draw else hit[drawing])
+        # the drawing agents' rows, as transposes of contiguous (4, m)
+        # arrays; the scan keeps p and free, whose rows its keys index
+        rows_p, rows_free = p.T.take(drawing, axis=1).T, free.T.take(drawing, axis=1).T
+        risky = np.flatnonzero(((rows_free.T < 0) & (rows_p.T > 0.0)).any(axis=0))
         split = drawing.size - risky.size >= need
-    if split and not all_draw:
-        p, free = p.T.take(drawing, axis=1).T, free.T.take(drawing, axis=1).T
-    movers, targets = (_split_draws(state, p, free, drawing, risky, starts, size)
+    movers, targets = (_split_draws(state, rows_p, rows_free, drawing, risky, starts, size)
                        if split else _scan_draws(state, p, free, drawing, starts, size))
 
     new_cells = cells.copy()
@@ -326,9 +322,9 @@ def _split_draws(state, p, free, drawing, risky, starts, size):
     """_scan_draws for a step with many safe agents: the same moves and
     generator states, with the scan over the risky agents only.
 
-    p and free hold the drawing agents' rows, in agent order (step()
-    passes the transposes of contiguous (4, m) arrays), and risky the
-    risky agents' rows, ascending.
+    p and free hold the drawing agents' rows, in agent order (step() takes
+    them once, as the transposes of contiguous (4, m) arrays), and risky
+    the risky agents' rows, ascending.
     """
     claims, u = _scan(state.rngs, p[risky].ravel().tolist(), free[risky].ravel().tolist(),
                       risky.tolist(), range(risky.size), starts)

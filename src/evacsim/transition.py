@@ -130,14 +130,14 @@ class TransitionTables:
         self.div_rows = np.tile(np.maximum(rs, 1).astype(np.float64), 4)
 
     def distributions(self, occupancy: np.ndarray, cells_flat: np.ndarray,
-                      k_p: float | np.ndarray, slots: np.ndarray | None = None):
+                      k_p: float | np.ndarray, slots: np.ndarray):
         """Distributions of the flat cells against occupancy, crowd weight k_p.
 
-        occupancy may stack rooms of this grid on its row axis, as
-        engine.SimulationState does: slots then index the cells in the
-        stack (by default they are cells_flat), rays stay in their own
-        room, and k_p is a float or one per cell (the same multiply either
-        way).
+        slots index the cells in occupancy.  It may stack rooms of this
+        grid on its row axis, as engine.SimulationState does: the slots
+        then differ from cells_flat outside the first room, rays stay in
+        their own room, and k_p is a float or one per cell (the same
+        multiply either way).
 
         Returns (p, norm_zero): p is (n, 4) rows summing to 1 (all-zero where
         norm_zero), the transpose of a contiguous (4, n) array; norm_zero is
@@ -153,8 +153,7 @@ class TransitionTables:
         float operation matches the per-direction evaluation bit for bit.
         """
         key = self.row_key.take(cells_flat, axis=1)
-        crowd = _crowd(occupancy.reshape(-1), self.off_rows, self.w_rows, key,
-                       cells_flat if slots is None else slots)
+        crowd = _crowd(occupancy.reshape(-1), self.off_rows, self.w_rows, key, slots)
         # crowd >= 0 (occupancy and kernel weights are), so of the clamp to
         # [0, 1] only the upper bound can bind
         dens = np.minimum(crowd / self.div_rows.take(key), 1.0)

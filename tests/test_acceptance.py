@@ -147,7 +147,7 @@ def _fixture_row(grid, cell, occupied, params):
         return None
     tables = TransitionTables(field, grid, params)
     flat = np.array([cell[0] * grid.width + cell[1]], dtype=np.int64)
-    p_eng, norm_zero = tables.distributions(occ, flat, params.k_p)
+    p_eng, norm_zero = tables.distributions(occ, flat, params.k_p, flat)
     assert not norm_zero[0]
     return ref.p, p_eng[0]
 
@@ -191,7 +191,7 @@ def _c2_fixtures():
             continue
         tables = TransitionTables(field, grid, params)
         flat = np.array([cell[0] * grid.width + cell[1]], dtype=np.int64)
-        p_eng, _ = tables.distributions(occ, flat, params.k_p)
+        p_eng, _ = tables.distributions(occ, flat, params.k_p, flat)
         rows.append((ref.p, p_eng[0]))
     return rows
 
@@ -317,7 +317,7 @@ def test_criterion_3_normalization_and_wall_zero_pattern():
         for _ in range(5):
             occ = ((rng.random((h, w)) < rng.uniform(0.0, 0.7))
                    & (grid.walls == 0)).astype(np.uint8)
-            p, norm_zero = tables.distributions(occ, flat, params.k_p)
+            p, norm_zero = tables.distributions(occ, flat, params.k_p, flat)
             blocked = np.zeros_like(p, dtype=bool)
             for d, (di, dj) in enumerate(DIR_OFFSETS):
                 for k, (i, j) in enumerate(cells):
@@ -491,7 +491,7 @@ def _distribution_fingerprint(field, grid, params, occupancies, cells):
     flat = np.array([i * grid.width + j for i, j in cells], dtype=np.int64)
     blobs = []
     for occ in occupancies:
-        p, norm_zero = tables.distributions(occ, flat, params.k_p)
+        p, norm_zero = tables.distributions(occ, flat, params.k_p, flat)
         blobs.append(p.tobytes() + norm_zero.tobytes())
     return blobs
 

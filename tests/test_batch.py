@@ -272,12 +272,18 @@ def test_k_s_at_its_bound_matches_oracle(draw_path, monkeypatch, runs):
     (5, ["spaced", "spaced"], "scan"),
     # a room without drawing agents does not count
     (4, ["spaced", "on_exit"], "split"),
+    # 6 drawing agents pass the count before the risky test, but only 2
+    # are safe; the scan then reads p and free by every agent's key
+    (3, ["crowded", "crowded"], "scan"),
 ], ids=["one_room_split", "one_room_scan", "two_rooms_split", "two_rooms_scan",
-        "idle_room_uncounted"])
+        "idle_room_uncounted", "safe_count_turns_split_down"])
 def test_split_counts_safe_agents_per_room(monkeypatch, constant, rooms, path):
-    # four agents, none next to another, are all safe on the first step
-    sc = make_scenario("#########\n#P.P.P.P#\n#.......#\n####E####", seed=3, max_steps=1)
-    agents = {"spaced": sc.initial_agents, "on_exit": ((3, 4),)}
+    # four agents, none next to another, are all safe on the first step.
+    # A crowded room's first agent stands on an exit and never draws, two
+    # neighbours are risky and one agent is safe
+    sc = make_scenario("####E####\n#P.P.P.P#\n#.......#\n####E####", seed=3, max_steps=1)
+    agents = {"spaced": sc.initial_agents, "on_exit": ((3, 4),),
+              "crowded": ((0, 4), (1, 2), (1, 3), (1, 7))}
     scenarios = [Scenario(grid=sc.grid, initial_agents=agents[room],
                           params=replace(sc.params, seed=3 + k)) for k, room in enumerate(rooms)]
     monkeypatch.setattr(engine, "_SPLIT_DRAWS", constant)

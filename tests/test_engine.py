@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario, random_grid, src_env
+from conftest import make_scenario, random_grid, scenario_text, src_env
 from evacsim.engine import initial_state, run, step
 from evacsim.floorfield import compute_sff
 from evacsim.metrics import render_snapshot
@@ -238,21 +238,37 @@ def test_place_agrees_with_oracle_and_initial_state(room):
         assert initial_state(sc).cells.tolist() == want
 
 
+# steps the scenario text in argv[1] with one person too many in the
+# occupancy and prints the optimize flag and the step's error
+DESYNC_SCRIPT = """
+import sys
+from evacsim.engine import initial_state, step
+from evacsim.floorfield import compute_sff
+from evacsim.scenario import parse_scenario
+from evacsim.transition import TransitionTables
+
+sc = parse_scenario(sys.argv[1])
+state = initial_state(sc)
+state.occupancy[2, 3] = 1
+try:
+    step(state, sc.grid, TransitionTables(compute_sff(sc.grid), sc.grid, sc.params))
+except RuntimeError as err:
+    print(sys.flags.optimize, err)
+"""
+
+
 def test_step_raises_on_occupancy_desync():
     # a person in the occupancy who is not in the agent list must be
     # reported, also under python -O, which strips assert statements
-    sc = make_scenario("#######\n#P...E#\n#.....#\n#######", seed=3)
+    text = scenario_text("#######\n#P...E#\n#.....#\n#######", seed=3)
+    sc = parse_scenario(text)
     state = initial_state(sc)
     state.occupancy[2, 3] = 1
     with pytest.raises(RuntimeError, match="occupancy holds 2 people, agent list 1"):
         step(state, sc.grid, TransitionTables(compute_sff(sc.grid), sc.grid, sc.params))
-    if not sys.flags.optimize:
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             f"{Path(__file__).resolve()}::test_step_raises_on_occupancy_desync"],
-            capture_output=True, text=True, cwd=REPO_ROOT, env=src_env(),
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+    proc = subprocess.run([sys.executable, "-O", "-c", DESYNC_SCRIPT, text],
+                          capture_output=True, text=True, env=src_env())
+    assert proc.stdout == "1 step 0: occupancy holds 2 people, agent list 1\n", proc.stderr
 
 
 def test_step_empty_room_only_increments():

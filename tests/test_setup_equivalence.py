@@ -278,8 +278,8 @@ def check_k_p_free(tables, field, grid, params):
     occ = ((rng.random(grid.walls.shape) < 0.4) & (grid.walls == 0)).astype(np.uint8)
     cells = np.flatnonzero(grid.walls == 0)
     for k_p in (params.k_p, other_k_p, 0.0):
-        got = tables.distributions(occ, cells, k_p)
-        want = other.distributions(occ, cells, k_p)
+        got = tables.distributions(occ, cells, k_p, cells)
+        want = other.distributions(occ, cells, k_p, cells)
         for x, y in zip(got, want):
             assert_same_bytes(x, y)
 

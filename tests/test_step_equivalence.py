@@ -44,7 +44,7 @@ def lockstep(scenario: Scenario, max_steps: int | None = None, rng_prep=None) ->
     w = grid.width
     while a.agents and a.step < limit:
         cells = np.array([i * w + j for _, (i, j) in a.agents], dtype=np.int64)
-        fused = tables.distributions(a.occupancy, cells, params.k_p)
+        fused = tables.distributions(a.occupancy, cells, params.k_p, cells)
         split = distributions_oracle(tables, a.occupancy, cells, params.k_p)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(fused, split)), (
             f"distributions differ before step {a.step + 1}"
@@ -243,7 +243,8 @@ def rounded_total_moves(neighbour: bool) -> tuple[Cell, list]:
             if grid.walls[i - 1, j] or (i - 1, j) in grid.exits:
                 continue
             occ[i - 1, j] = 1
-        p, _ = tables.distributions(occ, np.array([i * w + j]), sc.params.k_p)
+        flat = np.array([i * w + j])
+        p, _ = tables.distributions(occ, flat, sc.params.k_p, flat)
         total = 0.0
         for d in range(4):
             total += p[0, d]
@@ -283,7 +284,8 @@ def first_step_rows(sc: Scenario):
     step, built as engine.step builds them for one room."""
     tables = TransitionTables(compute_sff(sc.grid), sc.grid, sc.params)
     state = initial_state(sc)
-    p, norm_zero = tables.distributions(state.occupancy, state.cells, sc.params.k_p)
+    p, norm_zero = tables.distributions(state.occupancy, state.cells, sc.params.k_p,
+                                        state.cells)
     nbr = tables.nbr.take(state.cells, axis=1)
     free = np.where(state.occupancy.reshape(-1)[nbr] != 0, -1, nbr).T
     drawing = np.flatnonzero(~(norm_zero | sc.grid.exit_mask.reshape(-1)[state.cells]))

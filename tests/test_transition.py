@@ -178,7 +178,7 @@ def test_tables_match_scalar_path():
         ]
         tables = TransitionTables(f, grid, params)
         flat = np.array([i * 14 + j for i, j in cells], dtype=np.int64)
-        p_vec, nz_vec = tables.distributions(occ, flat, params.k_p)
+        p_vec, nz_vec = tables.distributions(occ, flat, params.k_p, flat)
         for k, cell in enumerate(cells):
             ref = transition_distribution(f, grid, occ, cell, params)
             assert bool(nz_vec[k]) == ref.norm_zero
@@ -221,7 +221,8 @@ def test_norm_and_running_sums_follow_numpys_sum_order():
     expo[rng.random((4, n)) < 0.05] = -np.inf
     tables.static_expo = expo
     # k_P = 0 leaves the exponents as they are, so the weights are np.exp's
-    p, norm_zero = tables.distributions(empty_occ(grid), np.arange(n), 0.0)
+    p, norm_zero = tables.distributions(empty_occ(grid), np.arange(n), 0.0,
+                                        np.arange(n))
     w = np.exp(expo)
     norm = np.ascontiguousarray(w.T).sum(axis=1)
     version = f"numpy {np.__version__}"
