@@ -221,8 +221,8 @@ def test_norm_and_running_sums_follow_numpys_sum_order():
     expo[rng.random((4, n)) < 0.05] = -np.inf
     tables.static_expo = expo
     # k_P = 0 leaves the exponents as they are, so the weights are np.exp's
-    p, norm_zero = tables.distributions(empty_occ(grid), np.arange(n), 0.0,
-                                        np.arange(n))
+    cells = np.arange(n)
+    p, norm_zero = tables.distributions(empty_occ(grid), cells, 0.0, cells)
     w = np.exp(expo)
     norm = np.ascontiguousarray(w.T).sum(axis=1)
     version = f"numpy {np.__version__}"
